@@ -58,6 +58,24 @@ def parse_rational(text, line=None):
         raise ParseError(f"bad rational {token!r}", line) from None
 
 
+def parse_dim_header(line, lineno):
+    """The n of a '# dim n' comment line, or None for any other comment.
+
+    Only a comment whose first word is 'dim' is a header, so a comment such
+    as '# dimension note' stays a comment.
+    """
+    words = line[1:].split()
+    if words[:1] != ["dim"]:
+        return None
+    try:
+        n = int(" ".join(words[1:]))
+    except ValueError:
+        raise ParseError("bad dimension declaration", lineno) from None
+    if n < 1:
+        raise ParseError("dimension must be positive", lineno)
+    return n
+
+
 def multiply_term_maps(a, b, reduce=None):
     """Multiply two {exponent tuple: coefficient} maps.
 
@@ -223,14 +241,7 @@ class LaurentPoly:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("dim"):
-                    try:
-                        declared = int(body[3:].strip())
-                    except ValueError:
-                        raise ParseError("bad dimension declaration", lineno) from None
-                    if declared < 1:
-                        raise ParseError("dimension must be positive", lineno)
+                declared = parse_dim_header(line, lineno) or declared
                 continue
             left, sep, right = line.partition(":")
             if not sep:

@@ -1,15 +1,17 @@
 """Exact lattice and rational polytopes with the toric invariants used here.
 
-Hulls are found by exhaustive supporting-hyperplane enumeration over point
-subsets, which is entirely adequate for the small inputs this package sees
-(tens of points, dimension at most 3 for the face-structure work).  Facets
-are stored as (primitive integer normal a, offset c) with the polytope on the
-side <a, x> <= c; when the origin is strictly interior every offset is
-positive and the polar dual has vertices -a/c.
+Hulls of integer points come from an incremental beneath-beyond
+construction in integer arithmetic: facet normals are signed minors of
+difference vectors, so no rational arithmetic enters.  Facets are stored as
+(primitive integer normal a, offset c) with the polytope on the side
+<a, x> <= c; when the origin is strictly interior every offset is positive
+and the polar dual has vertices -a/c.  The face-structure invariants
+(volume, Picard rank) are implemented for dimension at most 3.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,22 +114,29 @@ class LatticePolytope(RationalPolytope):
 
 
 def _hyperplane_normal(points):
-    """Primitive integer normal of the hyperplane through n points, or None."""
+    """Primitive integer normal of the hyperplane through n affinely
+    independent points: the signed (n-1)-minors of their difference vectors,
+    which is the cross product when n = 3.
+    """
     base = points[0]
-    n = len(base)
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    kernel = linalg.nullspace(rows, ncols=n)
-    if len(kernel) != 1:
-        return None
-    vec = kernel[0]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return linalg.primitive([int(x * den) for x in vec])
+    minors = [
+        (-1) ** i * linalg.det([row[:i] + row[i + 1 :] for row in rows])
+        for i in range(len(base))
+    ]
+    return linalg.primitive(minors)
 
 
 def convex_hull(points):
-    """Exact hull of integer points: vertices plus primitive facet data."""
+    """Exact hull of integer points: vertices plus primitive facet data.
+
+    Beneath-beyond: the boundary is kept as a list of (n-1)-simplices, each
+    with its supporting hyperplane oriented away from the centroid of a
+    starting full-dimensional simplex.  A point strictly beyond some of them
+    replaces those by the cones from the point over their horizon ridges,
+    the ridges that only one of the replaced simplices has.  Coplanar
+    simplices share one (primitive normal, offset) key, which is the facet.
+    """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
@@ -135,33 +144,43 @@ def convex_hull(points):
     if any(len(p) != n for p in pts):
         raise ValueError("points have inconsistent dimensions")
     base = pts[0]
-    directions = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    spanned = linalg.rank(directions) if directions else 0
-    if spanned < n:
+    simplex, directions = [base], []
+    for p in pts[1:]:
+        if len(directions) == n:
+            break
+        d = [x - b for x, b in zip(p, base)]
+        if linalg.rank(directions + [d]) > len(directions):
+            simplex.append(p)
+            directions.append(d)
+    if len(directions) < n:
         raise NotFullDimensional(
-            f"points span a {spanned}-dimensional affine subspace of R^{n}"
+            f"points span a {len(directions)}-dimensional affine subspace of R^{n}"
         )
-    facets = {}
-    for combo in itertools.combinations(pts, n):
-        normal = _hyperplane_normal(combo)
-        if normal is None:
+    # n + 1 times the simplex's centroid, which stays strictly inside the hull.
+    inside = [sum(col) for col in zip(*simplex)]
+
+    def cone(verts):
+        a = _hyperplane_normal(verts)
+        c = _dot(a, verts[0])
+        if _dot(a, inside) > (n + 1) * c:
+            a, c = tuple(-x for x in a), -c
+        return a, c, verts
+
+    boundary = [cone(simplex[:i] + simplex[i + 1 :]) for i in range(n + 1)]
+    for p in pts:
+        seen, kept = [], []
+        for face in boundary:
+            (seen if _dot(face[0], p) > face[1] else kept).append(face)
+        if not seen:
             continue
-        c = _dot(normal, combo[0])
-        below = above = False
-        for p in pts:
-            s = _dot(normal, p)
-            if s > c:
-                above = True
-            elif s < c:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            normal, c = tuple(-x for x in normal), -c
-        facets[(normal, c)] = None
-    facet_list = sorted(facets)
+        # Every simplex lists its points in insertion order, so a ridge that
+        # two simplices share is the same tuple in both.
+        ridges = collections.Counter(
+            r for _, _, verts in seen for r in itertools.combinations(verts, n - 1)
+        )
+        kept.extend(cone(r + (p,)) for r, k in ridges.items() if k == 1)
+        boundary = kept
+    facet_list = sorted({(a, c) for a, c, _ in boundary})
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
@@ -282,9 +301,7 @@ def _volume(P, apex_position):
     total = Fraction(0)
     for facet in P.facets:
         verts = table[facet]
-        if n == 1:
-            simplices = [verts]
-        elif n == 2:
+        if n < 3:
             simplices = [verts]
         else:
             apex = verts[apex_position]
@@ -322,13 +339,16 @@ def anticanonical_sections(P):
 
 
 def picard_rank(P):
-    """Rank of the divisor class group of the face fan of P.
+    """Picard rank of the toric variety of the face fan of P.
 
     Builds one unknown linear functional per facet cone and constrains every
     pair of cones to agree at each vertex they share, which forces agreement
-    on whole shared faces.  The space of such piecewise-linear functions has
-    dimension (number of global linear functions) + (rank of the class
-    group), so the answer is the solution-space dimension minus n.
+    on whole shared faces.  These piecewise-linear functions are the
+    T-Cartier divisors; modulo the n global linear functions they give the
+    Picard group, so the answer is the solution-space dimension minus n.
+    This is the rank of the divisor class group only when the fan is
+    simplicial: the face fan of [-1,1]^3 gives 1, while its class group has
+    rank 5.
     """
     n = P.dimension
     if n > 3:

@@ -26,6 +26,7 @@ from .laurent import (
     format_rational,
     multiply_term_maps,
     normalize_rational,
+    parse_dim_header,
     parse_rational,
 )
 
@@ -188,12 +189,7 @@ class SupportAnsatz:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("dim"):
-                    try:
-                        declared = int(body[3:].strip())
-                    except ValueError:
-                        raise ParseError("bad dimension declaration", lineno) from None
+                declared = parse_dim_header(line, lineno) or declared
                 continue
             parts = [part.strip() for part in line.split(":")]
             if len(parts) != 3:

@@ -161,6 +161,26 @@ def test_search_height_bound_exits_empty_with_stats(tmp_path, capsys):
     assert "lifts-tried: 0" in captured.out
 
 
+def test_dim_headers_in_input_files(tmp_path, capsys):
+    plain = tmp_path / "plain.poly"
+    plain.write_text("1 : 1\n1 : -1\n")
+    noted = tmp_path / "noted.poly"
+    noted.write_text("# dimension note\n" + plain.read_text())
+    assert main(["series", "-f", str(plain), "-N", "4"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["series", "-f", str(noted), "-N", "4"]) == 0
+    assert capsys.readouterr().out == expected
+
+    noted.write_text("# dim x\n" + plain.read_text())
+    assert main(["series", "-f", str(noted), "-N", "4"]) == 2
+    assert "line 1: bad dimension declaration" in capsys.readouterr().err
+
+    _, series, ansatz = _write_search_inputs(tmp_path, 3)
+    ansatz.write_text(ansatz.read_text().replace("# dim 1", "# dim 0"))
+    assert main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "7"]) == 2
+    assert "line 1: dimension must be positive" in capsys.readouterr().err
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

@@ -131,6 +131,15 @@ def test_from_text_rejects_duplicate_exponents():
     assert info.value.line == 2
 
 
+def test_from_text_dim_header_is_a_comment_starting_with_the_word_dim():
+    assert LaurentPoly.from_text("# dimension note\n2 : 1 -1\n").dimension == 2
+    assert LaurentPoly.from_text("# dim 3\n").dimension == 3
+    for text, line in (("1 : 1\n# dim x\n", 2), ("# dim 0\n", 1)):
+        with pytest.raises(ParseError) as info:
+            LaurentPoly.from_text(text)
+        assert info.value.line == line
+
+
 def test_from_text_infers_and_enforces_dimension():
     f = LaurentPoly.from_text("2 : 1 -1\n1/2 : 0 3\n")
     assert f.dimension == 2

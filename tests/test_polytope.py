@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from weaklg.laurent import LaurentPoly, ParseError
+from corpus import hull_bruteforce, random_unimodular
+from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
     anticanonical_degree,
@@ -58,6 +60,66 @@ def test_hull_rejects_degenerate_input():
         convex_hull([])
     with pytest.raises(ValueError):
         convex_hull([(1, 0), (0, 1, 0)])
+
+
+def _hull_outcome(hull, points):
+    try:
+        P = hull(points)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return P.vertices, P.facets
+
+
+def test_hull_matches_exhaustive_oracle_on_random_sets():
+    """Small boxes with repeats make coplanar and collinear points common,
+    and short lists are often degenerate; both hulls must agree on all."""
+    rng = random.Random(20261018)
+    full = degenerate = 0
+    for trial in range(360):
+        n = trial % 3 + 1
+        r = rng.randint(1, 3)
+        pts = [
+            tuple(rng.randint(-r, r) for _ in range(n))
+            for _ in range(rng.randint(1, (5, 12, 16)[n - 1]))
+        ]
+        pts += rng.choices(pts, k=rng.randint(0, 3))
+        got = _hull_outcome(convex_hull, pts)
+        assert got == _hull_outcome(hull_bruteforce, pts), pts
+        if got[0] is NotFullDimensional:
+            degenerate += 1
+        else:
+            full += 1
+    assert full > 250 and degenerate > 20
+
+
+def _gl3z_invariants(P):
+    return (
+        is_canonical(P),
+        is_reflexive(P),
+        anticanonical_degree(P),
+        anticanonical_sections(P),
+        picard_rank(P),
+        volume(P),
+        len(P.vertices),
+        len(P.facets),
+    )
+
+
+def test_polytope_invariants_are_gl3z_invariant():
+    rng = random.Random(4)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    canonical = reflexive = 0
+    for _ in range(100):
+        support = units + [
+            tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 6))
+        ]
+        f = LaurentPoly(3, {e: 1 for e in support})
+        g = substitute_monomial(f, random_unimodular(rng))
+        before = _gl3z_invariants(newton_polytope(f))
+        assert _gl3z_invariants(newton_polytope(g)) == before
+        canonical += before[0]
+        reflexive += before[1]
+    assert 0 < reflexive < canonical < 100
 
 
 def test_contains_and_strict_containment():
