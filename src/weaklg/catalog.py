@@ -16,8 +16,10 @@ derived data, as their notes say.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .dseries import DOperator, solve_series
 from .laurent import LaurentPoly, ParseError
@@ -57,8 +59,6 @@ def _row(scale, factors, width):
     poly = [1]
     for f in factors:
         poly = _poly_mul(poly, f)
-    from fractions import Fraction
-
     poly = [Fraction(scale) * x for x in poly]
     if len(poly) > width:
         raise ValueError("operator row wider than declared order")
@@ -71,8 +71,6 @@ def _zero_row(width):
 
 def _sym3(*pattern):
     """All distinct permutations of a length-3 exponent pattern."""
-    import itertools
-
     return sorted(set(itertools.permutations(pattern)))
 
 
@@ -141,8 +139,6 @@ def _build_builtins():
             _row(-27, [[1, 1], [1, 1], [1, 1]], w),
         ]
     )
-    from fractions import Fraction
-
     op22_printed = DOperator(
         [
             _row(1, [[0, 0, 0, 1]], w),
@@ -282,8 +278,6 @@ def _self_check():
         raise RuntimeError("catalog corrupted: V18 model terms changed")
     if v22.model.constant_term() != 4 or len(v22.model) != 14:
         raise RuntimeError("catalog corrupted: V22 model terms changed")
-    from fractions import Fraction
-
     if solve_series(v22.operator, 1)[1] != Fraction(32, 5):
         raise RuntimeError("catalog corrupted: V22 stored operator no longer shows"
                            " the recorded discrepancy")

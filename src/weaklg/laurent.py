@@ -76,31 +76,21 @@ def parse_dim_header(line, lineno):
     return n
 
 
-def multiply_term_maps(a, b, reduce=None):
+def multiply_term_maps(a, b):
     """Multiply two {exponent tuple: coefficient} maps.
 
     This is the inner loop of every power computation, so it works on raw
-    dicts rather than LaurentPoly wrappers.  When `reduce` is given it is
-    applied to every accumulated coefficient; the mod-p search passes
-    ``lambda c: c % p`` so the whole enumeration runs over small ints, while
-    exact callers pass nothing.  Terms that reduce to zero are dropped.
+    dicts rather than LaurentPoly wrappers.  Terms that cancel are dropped.
     """
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
-    if reduce is None:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = get(e)
-                out[e] = ca * cb if v is None else v + ca * cb
-        return {e: c for e, c in out.items() if c}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             v = get(e)
-            out[e] = reduce(ca * cb) if v is None else reduce(v + ca * cb)
+            out[e] = ca * cb if v is None else v + ca * cb
     return {e: c for e, c in out.items() if c}
 
 

@@ -202,6 +202,10 @@ def polytope_from_text(text):
             pts.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
             raise ParseError(f"bad vertex line {line!r}", lineno) from None
+        if len(pts[-1]) != len(pts[0]):
+            raise ParseError(
+                f"vertex has {len(pts[-1])} coordinates, expected {len(pts[0])}", lineno
+            )
     if not pts:
         raise ParseError("no vertices in polytope input")
     return convex_hull(pts)

@@ -2,19 +2,25 @@
 
 The problem comes in as a support ansatz (points grouped into symmetry
 orbits, one unknown coefficient per orbit, some orbits pinned to fixed
-values) plus a target series prefix.  The search enumerates orbit
-coefficients modulo one or more primes, pruning level by level: the order-r
-constraint phi(r) = a_r only involves orbits whose points can take part in a
+values) plus a target series prefix.  With the support fixed, each constant
+term phi(r) is a polynomial of degree r in the orbit coefficients; these
+level polynomials phi(1..depth) are built exactly once per ansatz and depth.
+The search enumerates orbit coefficients modulo one or more primes, pruning
+level by level: phi(r) only involves orbits whose points can take part in a
 zero-sum r-fold product, so orbits are brought in exactly when they first
-matter and partial assignments are tested with the mod-p constant-term
-engine.  Surviving residue assignments are lifted to integers within a
-height bound (CRT across primes first) and every lift is verified exactly
-with the rational engine, so nothing modular is ever trusted in the output.
+matter and each partial assignment is tested by evaluating phi(r) mod p.
+Surviving residue assignments are lifted to integers within a height bound
+(CRT across primes first).  Each lift must first satisfy phi(1..depth)
+exactly, then its full constant-term series is verified with the rational
+engine, so nothing modular is ever trusted in the output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +30,6 @@ from .laurent import (
     PowerSeries,
     constant_term_series,
     format_rational,
-    multiply_term_maps,
     normalize_rational,
     parse_dim_header,
     parse_rational,
@@ -43,16 +48,7 @@ class HeightBoundExceeded(RuntimeError):
 def _is_prime(p):
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,8 @@ class SearchConfig:
 
     `depth` is the modular matching depth (constraints phi(r) = a_r for
     r = 1..depth); `verify_depth` is the exact verification depth, so the
-    target series must extend at least that far.
+    target series must extend at least that far.  `threads` is validated and
+    kept for compatibility; the search runs in one process whatever its value.
     """
 
     target: PowerSeries
@@ -400,22 +397,82 @@ def _modular_residue(value, p, context):
     return frac.numerator * pow(frac.denominator, -1, p) % p
 
 
-def _phi_mod(fmap, r, p, origin):
-    reduce = lambda c: c % p
-    power = {origin: 1}
-    for _ in range(r):
-        power = multiply_term_maps(power, fmap, reduce=reduce)
-    return power.get(origin, 0)
+@functools.lru_cache(maxsize=8)
+def _level_polynomials(ansatz, depth):
+    """phi(1..depth) as exact polynomials in the non-fixed orbit coefficients.
+
+    Entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
+    ansatz order) to nonzero int or Fraction coefficients; fixed orbits enter
+    as constants.  The powers of f are expanded over Z[c] only up to
+    ceil(depth/2) and phi(a+b) = sum_m [f^a]_m [f^b]_{-m}, as in
+    constant_term_series_mitm.  A monomial in c is packed into one int,
+    sum e_i B^i with B = depth + 1 (no exponent exceeds depth), so
+    multiplying monomials is adding keys.  The cached result is shared
+    between primes and lifts, so each level comes back as a read-only map.
+    """
+    base = depth + 1
+    fmap = {}
+    variables = 0
+    for spec in ansatz.orbits:
+        if spec.domain.kind == "fixed":
+            key, coeff = 0, spec.domain.values[0]
+        else:
+            key, coeff = base**variables, 1
+            variables += 1
+        if coeff:
+            for point in spec.points:
+                fmap[point] = (key, coeff)
+    powers = [{(0,) * ansatz.dimension: {0: 1}}]
+    for _ in range((depth + 1) // 2):
+        nxt = {}
+        for e1, poly in powers[-1].items():
+            for e2, (key, coeff) in fmap.items():
+                acc = nxt.setdefault(tuple(a + b for a, b in zip(e1, e2)), {})
+                for k, c in poly.items():
+                    acc[k + key] = acc.get(k + key, 0) + c * coeff
+        powers.append({e: {k: c for k, c in poly.items() if c} for e, poly in nxt.items()})
+    unpack = lambda k: tuple(k // base**i % base for i in range(variables))
+    levels = []
+    for r in range(1, depth + 1):
+        acc = {}
+        big = powers[r - r // 2]
+        for e, small_poly in powers[r // 2].items():
+            big_poly = big.get(tuple(-x for x in e))
+            if big_poly:
+                for k1, c1 in small_poly.items():
+                    for k2, c2 in big_poly.items():
+                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        poly = {unpack(k): normalize_rational(c) for k, c in acc.items() if c}
+        levels.append(types.MappingProxyType(poly))
+    return tuple(levels)
+
+
+def _sparse_terms(poly, positions):
+    """(coefficient, ((position, exponent), ...)) pairs for _evaluate."""
+    return [
+        (c, tuple((positions[k], e) for k, e in enumerate(exps) if e))
+        for exps, c in poly.items()
+    ]
+
+
+def _evaluate(terms, values):
+    total = 0
+    for coeff, factors in terms:
+        for pos, e in factors:
+            coeff *= values[pos] ** e
+        total += coeff
+    return total
+
+
+def _undetermined(ansatz):
+    """(index, spec) of every orbit whose coefficient is not fixed."""
+    return [(idx, s) for idx, s in enumerate(ansatz.orbits) if s.domain.kind != "fixed"]
 
 
 def _assignment_plan(ansatz, p, depth):
     """Orbit assignment order and mod-p domains for one prime."""
     levels = _involvement_levels(ansatz, depth)
-    undetermined = [
-        (idx, spec)
-        for idx, spec in enumerate(ansatz.orbits)
-        if spec.domain.kind != "fixed"
-    ]
+    undetermined = _undetermined(ansatz)
     order = sorted(
         range(len(undetermined)),
         key=lambda k: (
@@ -433,14 +490,15 @@ def _assignment_plan(ansatz, p, depth):
     return undetermined, order, domains, levels
 
 
-def search_mod_p(ansatz, target, p, depth=None, _first_orbit_slice=None):
+def search_mod_p(ansatz, target, p, depth=None):
     """All orbit-coefficient assignments over Z/p matching the target prefix.
 
     Returns (survivors, stats).  Each survivor is a tuple of residues aligned
     with the non-fixed orbits in ansatz order.  Pruning is level by level in
-    r; when the target has a non-integral coefficient and every coefficient
-    domain is integral, that level eliminates everything (an integer
-    polynomial has integer constant terms).
+    r, evaluating the level polynomial phi(r) mod p on each partial
+    assignment; when the target has a non-integral coefficient and every
+    coefficient domain is integral, that level eliminates everything (an
+    integer polynomial has integer constant terms).
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -462,20 +520,21 @@ def search_mod_p(ansatz, target, p, depth=None, _first_orbit_slice=None):
             unreachable.add(r)
         else:
             residue_wanted[r] = _modular_residue(value, p, "target coefficient")
-
-    base = {}
     for spec in ansatz.orbits:
         if spec.domain.kind == "fixed":
-            res = _modular_residue(spec.domain.values[0], p, "fixed coefficient")
-            if res:
-                for point in spec.points:
-                    base[point] = res
+            # every level coefficient is then defined modulo p as well
+            _modular_residue(spec.domain.values[0], p, "fixed coefficient")
 
     undetermined, order, domains, levels = _assignment_plan(ansatz, p, depth)
-    if _first_orbit_slice is not None and domains:
-        domains = [tuple(_first_orbit_slice)] + domains[1:]
+    position = {k: pos for pos, k in enumerate(order)}
+    checks = [
+        [
+            (_modular_residue(c, p, "level coefficient"), factors)
+            for c, factors in _sparse_terms(poly, position)
+        ]
+        for poly in _level_polynomials(ansatz, depth)
+    ]
 
-    origin = (0,) * ansatz.dimension
     partials = [()]
     assigned = 0
     enumerated = 0
@@ -492,18 +551,9 @@ def search_mod_p(ansatz, target, p, depth=None, _first_orbit_slice=None):
         if r in unreachable:
             partials = []
         else:
-            want = residue_wanted[r]
-            kept = []
-            for part in partials:
-                fmap = dict(base)
-                for k in range(assigned):
-                    v = part[k]
-                    if v:
-                        for point in undetermined[order[k]][1].points:
-                            fmap[point] = v
-                if _phi_mod(fmap, r, p, origin) == want:
-                    kept.append(part)
-            partials = kept
+            # phi(r) only involves orbits of level <= r, all assigned by now
+            want, terms = residue_wanted[r], checks[r - 1]
+            partials = [part for part in partials if _evaluate(terms, part) % p == want]
         per_level.append((r, len(partials)))
         if not partials:
             break
@@ -514,9 +564,8 @@ def search_mod_p(ansatz, target, p, depth=None, _first_orbit_slice=None):
             partials = [part + (v,) for part in partials for v in domain]
             enumerated += len(partials)
             assigned += 1
-    position_of = [order.index(k) for k in range(len(order))]
     survivors = tuple(
-        sorted(tuple(part[position_of[k]] for k in range(len(order))) for part in partials)
+        sorted(tuple(part[position[k]] for k in range(len(order))) for part in partials)
     )
     stats = PrimeStats(
         prime=p,
@@ -575,8 +624,10 @@ def lift_and_verify(per_prime, ansatz, config):
 
     `per_prime` maps each configured prime to its survivor tuples.  Residues
     are combined across primes by CRT per orbit, lifted within the height
-    bound, assembled into polynomials, and accepted only when the exact
-    constant-term series matches the target through config.verify_depth.
+    bound, and checked exactly against the level polynomials phi(1..depth);
+    a lift passing that pre-check is assembled into a polynomial and accepted
+    only when its exact constant-term series matches the target through
+    config.verify_depth.
     Raises HeightBoundExceeded when residue combinations survive but not a
     single one admits an in-range lift.
     """
@@ -584,12 +635,13 @@ def lift_and_verify(per_prime, ansatz, config):
     for p in primes:
         if p not in per_prime:
             raise ValueError(f"missing survivor list for prime {p}")
-    undetermined = [
-        (idx, spec)
-        for idx, spec in enumerate(ansatz.orbits)
-        if spec.domain.kind != "fixed"
-    ]
+    undetermined = _undetermined(ansatz)
     target = config.target
+    identity = range(len(undetermined))
+    checks = [
+        (target[r], _sparse_terms(poly, identity))
+        for r, poly in enumerate(_level_polynomials(ansatz, config.depth), 1)
+    ]
     matches = {}
     combinations = 0
     lifts_tried = 0
@@ -617,6 +669,8 @@ def lift_and_verify(per_prime, ansatz, config):
             continue
         for values in itertools.product(*option_lists):
             lifts_tried += 1
+            if any(_evaluate(terms, values) != want for want, terms in checks):
+                continue
             candidate = _assemble(ansatz, undetermined, values)
             series = constant_term_series(candidate, config.verify_depth)
             if all(series[i] == target[i] for i in range(config.verify_depth + 1)):
@@ -633,56 +687,6 @@ def lift_and_verify(per_prime, ansatz, config):
     return ordered, combinations, lifts_tried
 
 
-def _mod_p_task(args):
-    ansatz, target, p, depth, chunk = args
-    return search_mod_p(ansatz, target, p, depth, _first_orbit_slice=chunk)
-
-
-def _merged_prime_stats(p, depth, results, first_extension):
-    """Combine chunked runs into the stats a single run would have produced.
-
-    Levels before the first orbit assignment see the same shared trivial
-    prefix in every chunk, so their counts must not be summed; from the first
-    extension level on the partial assignments partition across chunks and
-    summing is exact.
-    """
-    enumerated = sum(st.enumerated for _, st in results)
-    by_level = {}
-    for _, st in results:
-        for r, count in st.survivors_per_level:
-            if r < first_extension:
-                by_level[r] = count
-            else:
-                by_level[r] = by_level.get(r, 0) + count
-    per_level = tuple(sorted(by_level.items()))
-    survivors = tuple(sorted(itertools.chain.from_iterable(s for s, _ in results)))
-    return survivors, PrimeStats(
-        prime=p,
-        depth=depth,
-        enumerated=enumerated,
-        survivors_per_level=per_level,
-        survivor_count=len(survivors),
-    )
-
-
-def _parallel_mod_p(ansatz, target, p, depth, threads):
-    undetermined, order, domains, levels = _assignment_plan(ansatz, p, depth)
-    if not domains:
-        return search_mod_p(ansatz, target, p, depth)
-    chunks = [domains[0][i::threads] for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    if len(chunks) < 2:
-        return search_mod_p(ansatz, target, p, depth)
-    first_extension = levels.get(undetermined[order[0]][0], depth + 1)
-    import multiprocessing
-
-    with multiprocessing.Pool(len(chunks)) as pool:
-        results = pool.map(
-            _mod_p_task, [(ansatz, target, p, depth, chunk) for chunk in chunks]
-        )
-    return _merged_prime_stats(p, depth, results, first_extension)
-
-
 def search(ansatz, config):
     """Full pipeline: per-prime modular search, CRT lift, exact verification.
 
@@ -693,12 +697,7 @@ def search(ansatz, config):
     per_prime = {}
     prime_stats = []
     for p in config.primes:
-        if config.threads > 1:
-            survivors, stats = _parallel_mod_p(
-                ansatz, config.target, p, config.depth, config.threads
-            )
-        else:
-            survivors, stats = search_mod_p(ansatz, config.target, p, config.depth)
+        survivors, stats = search_mod_p(ansatz, config.target, p, config.depth)
         per_prime[p] = survivors
         prime_stats.append(stats)
     try:

@@ -181,6 +181,14 @@ def test_dim_headers_in_input_files(tmp_path, capsys):
     assert "line 1: dimension must be positive" in capsys.readouterr().err
 
 
+def test_polytope_vertex_file_with_ragged_rows(tmp_path, capsys):
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 0 0\n0 1\n")
+    assert main(["polytope", "-p", str(ragged)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: vertex has 2 coordinates, expected 3\n"
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

@@ -142,6 +142,15 @@ def test_polytope_text_round_trip():
         polytope_from_text("")
 
 
+def test_polytope_text_rejects_ragged_rows_with_line_number():
+    with pytest.raises(ParseError, match="line 2: vertex has 2 coordinates, expected 3") as info:
+        polytope_from_text("1 0 0\n0 1\n")
+    assert info.value.line == 2
+    with pytest.raises(ParseError) as info:
+        polytope_from_text("# square\n1 0\n\n0 1\n-1 0\n0 -1 0\n")
+    assert info.value.line == 6
+
+
 def test_newton_polytope_of_quartic_model():
     f = catalog.builtin("V16").model
     P = newton_polytope(f)

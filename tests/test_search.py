@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from corpus import phi_bruteforce
 from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
 from weaklg.search import (
     CoefficientDomain,
@@ -9,6 +12,7 @@ from weaklg.search import (
     OrbitSpec,
     SearchConfig,
     SupportAnsatz,
+    _level_polynomials,
     lift_and_verify,
     orbits,
     search,
@@ -311,3 +315,194 @@ def test_lift_and_verify_requires_all_primes():
     config = SearchConfig(target=target, primes=(5, 7), height=5)
     with pytest.raises(ValueError):
         lift_and_verify({5: ((3,),)}, ansatz_1d(CoefficientDomain.free()), config)
+
+
+# --- level polynomials against the brute-force series -------------------------
+
+
+def random_ansatz(rng, n, max_points=5, kinds=("free", "choice", "int", "frac")):
+    """Random support in a small box, split into orbits with random domains."""
+    box = 2 if n == 1 else 1
+    pool = list(itertools.product(range(-box, box + 1), repeat=n))
+    points = rng.sample(pool, rng.randint(2, min(max_points, len(pool))))
+    cuts = sorted(rng.sample(range(1, len(points)), rng.randint(0, min(3, len(points) - 1))))
+    specs = []
+    for k, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(points)])):
+        kind = rng.choice(kinds)
+        if kind == "free":
+            domain = CoefficientDomain.free()
+        elif kind == "choice":
+            domain = CoefficientDomain.choice(*rng.sample(range(-3, 4), rng.randint(1, 3)))
+        elif kind == "int":
+            domain = CoefficientDomain.fixed(rng.randint(-2, 2))
+        else:
+            domain = CoefficientDomain.fixed(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3))))
+        specs.append(OrbitSpec(f"o{k}", tuple(points[lo:hi]), domain))
+    return SupportAnsatz(n, specs)
+
+
+def unknowns(ansatz):
+    return [spec for spec in ansatz.orbits if spec.domain.kind != "fixed"]
+
+
+def assembled(ansatz, values):
+    """The polynomial with the given values on the non-fixed orbits, in ansatz order."""
+    it = iter(values)
+    terms = {}
+    for spec in ansatz.orbits:
+        value = spec.domain.values[0] if spec.domain.kind == "fixed" else next(it)
+        for point in spec.points:
+            terms[point] = value
+    return LaurentPoly(ansatz.dimension, terms)
+
+
+def evaluate_polynomial(poly, values):
+    total = 0
+    for exps, coeff in poly.items():
+        for v, e in zip(values, exps, strict=True):
+            coeff *= v**e
+        total += coeff
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_polynomials_match_bruteforce_series(n):
+    rng = random.Random(700 + n)
+    kinds_seen = set()
+    for _ in range(25):
+        ansatz = random_ansatz(rng, n)
+        kinds_seen.update(
+            spec.domain.kind if spec.domain.kind != "fixed" else type(spec.domain.values[0])
+            for spec in ansatz.orbits
+        )
+        depth = rng.randint(1, 5)
+        levels = _level_polynomials(ansatz, depth)
+        assert len(levels) == depth
+        for _ in range(4):
+            values = [rng.randint(-3, 3) for _ in unknowns(ansatz)]
+            phi = phi_bruteforce(assembled(ansatz, values), depth)
+            assert [evaluate_polynomial(levels[r - 1], values) for r in range(1, depth + 1)] == phi[1:]
+        for poly in levels:
+            for exps, coeff in poly.items():
+                assert len(exps) == len(unknowns(ansatz)) and coeff != 0
+                assert isinstance(coeff, (int, Fraction)) and not isinstance(coeff, bool)
+    assert kinds_seen == {"free", "choice", int, Fraction}
+
+
+def residue_domain(spec, p):
+    if spec.domain.kind == "free":
+        return range(p)
+    return sorted({v % p for v in spec.domain.values})
+
+
+def matches_mod_p(phi, target, p, r):
+    return Fraction(phi[r] - target[r]).numerator % p == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_mod_p_matches_bruteforce_filter(seed):
+    """Survivors and per-level counts equal an exhaustive residue filter.
+
+    A partial assignment at level r fixes exactly the orbits with a point in
+    some zero-sum r-fold product of support points, and the others never
+    change phi(1..r), so the level-r survivor
+    count is the number of full assignments passing levels 1..r divided by
+    the domain sizes of the orbits not yet involved.
+    """
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 12:
+        ansatz = random_ansatz(rng, rng.choice((1, 2)), max_points=4)
+        rational = not all(spec.domain.is_integral() for spec in ansatz.orbits)
+        p = rng.choice((5, 7) if rational else (2, 3, 5))
+        depth = rng.randint(2, 4)
+        domains = [residue_domain(spec, p) for spec in unknowns(ansatz)]
+        if len(list(itertools.product(*domains))) > 200:
+            continue
+        if rng.random() < 0.7:
+            planted = [rng.randint(-3, 3) for _ in domains]
+            target = PowerSeries(phi_bruteforce(assembled(ansatz, planted), depth))
+        else:
+            target = PowerSeries([1] + [rng.randint(-4, 4) for _ in range(depth)])
+        phis = {a: phi_bruteforce(assembled(ansatz, a), depth) for a in itertools.product(*domains)}
+        survivors, stats = search_mod_p(ansatz, target, p, depth)
+
+        involved = {}
+        for r in range(depth, 0, -1):
+            for combo in itertools.combinations_with_replacement(ansatz.support(), r):
+                if not any(map(sum, zip(*combo))):
+                    for k, spec in enumerate(unknowns(ansatz)):
+                        if set(combo) & set(spec.points):
+                            involved[k] = r
+        expected_levels = []
+        for r in range(1, depth + 1):
+            passing = sum(
+                all(matches_mod_p(phi, target, p, s) for s in range(1, r + 1))
+                for phi in phis.values()
+            )
+            free_later = 1
+            for k, dom in enumerate(domains):
+                if involved.get(k, depth + 1) > r:
+                    free_later *= len(dom)
+            assert passing % free_later == 0
+            expected_levels.append((r, passing // free_later))
+            if not passing:
+                break
+        expected = tuple(
+            sorted(
+                a for a, phi in phis.items()
+                if all(matches_mod_p(phi, target, p, r) for r in range(1, depth + 1))
+            )
+        )
+        assert survivors == expected
+        assert stats.survivors_per_level == tuple(expected_levels)
+        assert stats.survivor_count == len(expected)
+        checked += 1
+
+
+def test_lift_pre_check_only_drops_non_matches():
+    """lift_and_verify over every residue tuple equals checking every lift exactly.
+
+    The corpus must hold lifts that the phi(1..depth) pre-check rejects and
+    lifts that pass it but fail deeper, so both exits are exercised.
+    """
+    rng = random.Random(40)
+    rejected_early = rejected_late = 0
+    checked = 0
+    while checked < 40:
+        ansatz = random_ansatz(rng, rng.choice((1, 2)), max_points=4, kinds=("free", "choice", "int"))
+        p, height, depth = rng.choice((3, 5)), rng.randint(1, 3), rng.randint(2, 3)
+        lifts = [
+            range(-height, height + 1) if spec.domain.kind == "free" else spec.domain.values
+            for spec in unknowns(ansatz)
+        ]
+        all_lifts = list(itertools.product(*lifts))
+        if not 1 <= len(all_lifts) <= 150:
+            continue
+        verify_depth = depth + 3
+        planted = rng.choice(all_lifts)
+        target = phi_bruteforce(assembled(ansatz, planted), verify_depth)
+        config = SearchConfig(
+            target=PowerSeries(target), primes=(p,), height=height, depth=depth,
+            verify_depth=verify_depth,
+        )
+        residues = tuple(
+            itertools.product(*(residue_domain(spec, p) for spec in unknowns(ansatz)))
+        )
+        matches, combinations, lifts_tried = lift_and_verify({p: residues}, ansatz, config)
+
+        expected = set()
+        for values in all_lifts:
+            phi = phi_bruteforce(assembled(ansatz, values), verify_depth)
+            if phi == target:
+                expected.add(assembled(ansatz, values).to_text())
+            elif phi[: depth + 1] == target[: depth + 1]:
+                rejected_late += 1
+            else:
+                rejected_early += 1
+        assert [m.to_text() for m in matches] == sorted(expected)
+        assert assembled(ansatz, planted) in matches
+        assert combinations == len(residues)
+        assert lifts_tried == len(all_lifts)
+        checked += 1
+    assert rejected_early > 0 and rejected_late > 0
