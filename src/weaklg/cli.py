@@ -53,7 +53,8 @@ def _build_parser():
     p.add_argument("-f", "--poly", required=True, metavar="FILE")
     p.add_argument("-N", type=int, default=10, help="truncation order (default 10)")
     p.add_argument("--mitm", action="store_true",
-                   help="use the meet-in-the-middle evaluator")
+                   help="accepted for compatibility: the one split-power evaluator"
+                        " always runs, and the output is the same")
 
     p = sub.add_parser("solve", help="fundamental solution of an operator")
     p.add_argument("-L", "--operator", required=True, metavar="FILE")

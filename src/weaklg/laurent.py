@@ -1,10 +1,12 @@
 """Sparse Laurent polynomials over exact rationals and their constant-term series.
 
 The central object is the series Phi_f(t) = sum_i phi(i) t^i where phi(i) is
-the coefficient of x^0 in f^i.  Two evaluation strategies are provided: plain
-incremental powers, and a split-power convolution that only ever expands f up
-to half the requested order.  Both are exact; coefficients are Python ints
-where possible and Fractions otherwise.
+the coefficient of x^0 in f^i.  One split-power convolution evaluates it,
+expanding f only up to half the order: phi(a+b) = sum_m [f^a]_m [f^b]_{-m}.
+Products run on packed exponents, each vector one signed int sum e_i B^i with
+balanced digits (Monagan and Pearce, CASC 2007), so multiplying monomials is
+adding ints and -m has key -key(m).  Everything is exact; coefficients are
+Python ints where possible and Fractions otherwise.
 """
 
 from __future__ import annotations
@@ -76,22 +78,90 @@ def parse_dim_header(line, lineno):
     return n
 
 
+def pack_exponents(exps, base):
+    """sum e_i base^i, one key per vector in [-M, M]^n when base = 2M + 1.
+
+    Packing is linear: adding keys adds vectors, and -m has key -key(m).
+    """
+    return sum(e * base**i for i, e in enumerate(exps))
+
+
+def _unpack_exponents(key, base, n):
+    out = []
+    for _ in range(n):
+        key, digit = divmod(key + base // 2, base)
+        out.append(digit - base // 2)
+    return tuple(out)
+
+
+def _max_abs_exponent(terms):
+    return max((abs(x) for exps in terms for x in exps), default=0)
+
+
+def _packed(terms, base):
+    return {pack_exponents(exps, base): c for exps, c in terms.items()}
+
+
+def _product(n, factors):
+    """The product of LaurentPolys in n variables, multiplied on packed keys."""
+    base = 2 * sum(_max_abs_exponent(g._terms) for g in factors) + 1
+    result = {0: 1}
+    for g in factors:
+        result = multiply_term_maps(result, _packed(g._terms, base))
+    return LaurentPoly(n, {_unpack_exponents(k, base, n): c for k, c in result.items()})
+
+
 def multiply_term_maps(a, b):
-    """Multiply two {exponent tuple: coefficient} maps.
+    """Multiply two {packed exponent key: coefficient} maps.
 
     This is the inner loop of every power computation, so it works on raw
-    dicts rather than LaurentPoly wrappers.  Terms that cancel are dropped.
+    dicts of int keys (see pack_exponents) rather than LaurentPoly wrappers;
+    the coefficients are ints or Fractions.  Terms that cancel are dropped.
     """
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = get(e)
-            out[e] = ca * cb if v is None else v + ca * cb
-    return {e: c for e, c in out.items() if c}
+    b_items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def constant_term_levels(terms, N, split=1):
+    """The x^0 parts of f^0..f^N, expanding f only up to ceil(N/2).
+
+    `terms` maps key = xkey * split + ckey to a coefficient: xkey packs the
+    exponent of x, and 0 <= ckey < split packs nonnegative exponents of extra
+    variables whose degrees never carry past split (split = 1: none).  Entry
+    i maps ckey to its coefficient in [x^0] f^i, the sum over xkey of
+    [f^a]_xkey [f^b]_-xkey with a = floor(i/2), b = i - a.
+    """
+    powers = [{0: 1}]
+    for _ in range((N + 1) // 2):
+        powers.append(multiply_term_maps(powers[-1], terms))
+    halves = [(i // 2, i - i // 2) for i in range(N + 1)]
+    if split == 1:  # every series: grouping by xkey would only add work
+        return [{0: sum(c * powers[b][-k] for k, c in powers[a].items() if -k in powers[b])}
+                for a, b in halves]
+    grouped = []
+    for power in powers:
+        rows = {}
+        for key, c in power.items():
+            xkey, ckey = divmod(key, split)
+            rows.setdefault(xkey, []).append((ckey, c))
+        grouped.append(rows)
+    levels = []
+    for a, b in halves:
+        acc = {}
+        for xkey, row in grouped[a].items():
+            for k1, c1 in row:
+                for k2, c2 in grouped[b].get(-xkey, ()):
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        levels.append(acc)
+    return levels
 
 
 class LaurentPoly:
@@ -195,7 +265,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             self._check_dim(other)
-            return LaurentPoly(self._n, multiply_term_maps(self._terms, other._terms))
+            return _product(self._n, (self, other))
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
                 return LaurentPoly(self._n)
@@ -207,10 +277,7 @@ class LaurentPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError("power exponent must be a nonnegative integer")
-        result = {(0,) * self._n: 1}
-        for _ in range(k):
-            result = multiply_term_maps(result, self._terms)
-        return LaurentPoly(self._n, result)
+        return _product(self._n, (self,) * k)
 
     def __repr__(self):
         return f"LaurentPoly(n={self._n}, terms={len(self._terms)})"
@@ -336,49 +403,19 @@ class PowerSeries:
 
 
 def constant_term_series(f, N):
-    """phi(i) for i = 0..N, keeping the full expansion of each power of f."""
+    """phi(i) for i = 0..N, expanding f only up to ceil(N/2); see constant_term_levels."""
     if not isinstance(f, LaurentPoly):
         raise TypeError("constant_term_series expects a LaurentPoly")
     if N < 0:
         raise ValueError("series order must be nonnegative")
-    origin = (0,) * f.dimension
-    coeffs = [1]
-    power = {origin: 1}
-    for _ in range(N):
-        power = multiply_term_maps(power, f._terms)
-        coeffs.append(power.get(origin, 0))
-    return PowerSeries(coeffs)
+    base = 2 * _max_abs_exponent(f._terms) * ((N + 1) // 2) + 1
+    levels = constant_term_levels(_packed(f._terms, base), N)
+    return PowerSeries(level.get(0, 0) for level in levels)
 
 
 def constant_term_series_mitm(f, N):
-    """Same output as constant_term_series via the split-power convolution.
-
-    phi(a+b) = sum_m [f^a]_m [f^b]_{-m} with a = floor(i/2), so the largest
-    expanded power is ceil(N/2).  This is the sanctioned fast path for deep
-    prefixes; the plain routine is the oracle it is tested against.
-    """
-    if not isinstance(f, LaurentPoly):
-        raise TypeError("constant_term_series_mitm expects a LaurentPoly")
-    if N < 0:
-        raise ValueError("series order must be nonnegative")
-    origin = (0,) * f.dimension
-    top = (N + 1) // 2
-    powers = [{origin: 1}]
-    for _ in range(top):
-        powers.append(multiply_term_maps(powers[-1], f._terms))
-    coeffs = []
-    for i in range(N + 1):
-        half = i // 2
-        small, big = powers[half], powers[i - half]
-        if len(small) > len(big):
-            small, big = big, small
-        total = 0
-        for e, c in small.items():
-            c2 = big.get(tuple(-x for x in e))
-            if c2 is not None:
-                total += c * c2
-        coeffs.append(total)
-    return PowerSeries(coeffs)
+    """The same series; kept as a name of its own for `series --mitm` and callers."""
+    return constant_term_series(f, N)
 
 
 def substitute_monomial(f, matrix):

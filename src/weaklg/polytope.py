@@ -345,11 +345,12 @@ def anticanonical_sections(P):
 def picard_rank(P):
     """Picard rank of the toric variety of the face fan of P.
 
-    Builds one unknown linear functional per facet cone and constrains every
-    pair of cones to agree at each vertex they share, which forces agreement
-    on whole shared faces.  These piecewise-linear functions are the
-    T-Cartier divisors; modulo the n global linear functions they give the
-    Picard group, so the answer is the solution-space dimension minus n.
+    Builds one unknown linear functional per facet cone and constrains the
+    cones through each vertex to agree there, chained so that k cones give
+    k - 1 rows; this forces agreement on whole shared faces.  These
+    piecewise-linear functions are the T-Cartier divisors; modulo the n
+    global linear functions they give the Picard group, so the answer is the
+    solution-space dimension minus n.
     This is the rank of the divisor class group only when the fan is
     simplicial: the face fan of [-1,1]^3 gives 1, while its class group has
     rank 5.
@@ -361,18 +362,19 @@ def picard_rank(P):
     if not P.is_integral():
         raise ValueError("picard_rank expects a lattice polytope")
     facets = P.facets
-    table = [P.facet_vertices(facet) for facet in facets]
+    through = {}
+    for i, facet in enumerate(facets):
+        for w in P.facet_vertices(facet):
+            through.setdefault(w, []).append(i)
     cols = n * len(facets)
     rows = []
-    for i in range(len(facets)):
-        mine = set(table[i])
-        for j in range(i + 1, len(facets)):
-            for w in sorted(mine.intersection(table[j])):
-                row = [0] * cols
-                for k in range(n):
-                    row[n * i + k] = w[k]
-                    row[n * j + k] = -w[k]
-                rows.append(row)
+    for w, cones in through.items():
+        for i, j in zip(cones, cones[1:]):
+            row = [0] * cols
+            for k in range(n):
+                row[n * i + k] = w[k]
+                row[n * j + k] = -w[k]
+            rows.append(row)
     solution_dim = cols - (linalg.rank(rows) if rows else 0)
     return solution_dim - n
 

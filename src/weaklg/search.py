@@ -28,9 +28,11 @@ from .laurent import (
     LaurentPoly,
     ParseError,
     PowerSeries,
+    constant_term_levels,
     constant_term_series,
     format_rational,
     normalize_rational,
+    pack_exponents,
     parse_dim_header,
     parse_rational,
 )
@@ -194,6 +196,12 @@ class SupportAnsatz:
                 point = tuple(int(tok) for tok in parts[0].split())
             except ValueError:
                 raise ParseError(f"bad point {parts[0]!r}", lineno) from None
+            if declared is None:
+                declared = len(point)
+            if len(point) != declared:
+                raise ParseError(
+                    f"point has {len(point)} coordinates, expected {declared}", lineno
+                )
             label = parts[1]
             if not label:
                 raise ParseError("empty orbit label", lineno)
@@ -206,8 +214,6 @@ class SupportAnsatz:
             entry[1].append(point)
         if not groups:
             raise ParseError("empty ansatz input")
-        if declared is None:
-            declared = len(next(iter(groups.values()))[1][0])
         specs = [
             OrbitSpec(label, tuple(points), domain)
             for label, (domain, points) in groups.items()
@@ -367,24 +373,17 @@ class SearchResult:
 def _involvement_levels(ansatz, depth):
     """First constraint level at which each orbit's coefficient matters.
 
-    A point m takes part in phi(r) exactly when -m is a sum of r-1 support
-    points, so the levels fall out of iterated sumsets of the support.
+    A point m takes part in phi(r) exactly when m and r - 1 support points
+    sum to zero, that is when its orbit's variable occurs in phi(r) with
+    every orbit free and every coefficient 1: positive terms never cancel.
     Orbits that never matter within `depth` are absent from the result.
     """
-    support = ansatz.support()
-    origin = (0,) * ansatz.dimension
-    reachable = {origin}
     levels = {}
-    for r in range(1, depth + 1):
-        for idx, spec in enumerate(ansatz.orbits):
-            if idx in levels:
-                continue
-            if any(tuple(-x for x in m) in reachable for m in spec.points):
-                levels[idx] = r
-        if r < depth:
-            reachable = {
-                tuple(a + b for a, b in zip(s, m)) for s in reachable for m in support
-            }
+    for r, poly in enumerate(_level_polynomials(ansatz, depth, every_orbit=True), 1):
+        for exps in poly:
+            for idx, e in enumerate(exps):
+                if e:
+                    levels.setdefault(idx, r)
     return levels
 
 
@@ -397,54 +396,42 @@ def _modular_residue(value, p, context):
     return frac.numerator * pow(frac.denominator, -1, p) % p
 
 
-@functools.lru_cache(maxsize=8)
-def _level_polynomials(ansatz, depth):
+@functools.lru_cache(maxsize=16)
+def _level_polynomials(ansatz, depth, every_orbit=False):
     """phi(1..depth) as exact polynomials in the non-fixed orbit coefficients.
 
     Entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
     ansatz order) to nonzero int or Fraction coefficients; fixed orbits enter
-    as constants.  The powers of f are expanded over Z[c] only up to
-    ceil(depth/2) and phi(a+b) = sum_m [f^a]_m [f^b]_{-m}, as in
-    constant_term_series_mitm.  A monomial in c is packed into one int,
-    sum e_i B^i with B = depth + 1 (no exponent exceeds depth), so
-    multiplying monomials is adding keys.  The cached result is shared
-    between primes and lifts, so each level comes back as a read-only map.
+    as constants.  With `every_orbit`, every orbit is a variable instead and
+    every coefficient is 1.  The variables are extra packed variables of
+    laurent.constant_term_levels: c_j x^m has key pack(m) * C + (depth + 1)^j
+    with C = (depth + 1)^v for v variables, since no degree exceeds depth.
+    So f is expanded only up to ceil(depth/2), by the same product as every
+    series.  The cached result is shared between primes and lifts, so each
+    level comes back as a read-only map.
     """
-    base = depth + 1
-    fmap = {}
-    variables = 0
-    for spec in ansatz.orbits:
-        if spec.domain.kind == "fixed":
-            key, coeff = 0, spec.domain.values[0]
+    digit = depth + 1
+    free = [every_orbit or spec.domain.kind != "fixed" for spec in ansatz.orbits]
+    split = digit ** sum(free)
+    base = 2 * max(abs(x) for p in ansatz.support() for x in p) * ((depth + 1) // 2) + 1
+    terms = {}
+    variable = 1
+    for spec, is_free in zip(ansatz.orbits, free):
+        if is_free:
+            ckey, coeff = variable, 1
+            variable *= digit
         else:
-            key, coeff = base**variables, 1
-            variables += 1
+            ckey, coeff = 0, spec.domain.values[0]
         if coeff:
             for point in spec.points:
-                fmap[point] = (key, coeff)
-    powers = [{(0,) * ansatz.dimension: {0: 1}}]
-    for _ in range((depth + 1) // 2):
-        nxt = {}
-        for e1, poly in powers[-1].items():
-            for e2, (key, coeff) in fmap.items():
-                acc = nxt.setdefault(tuple(a + b for a, b in zip(e1, e2)), {})
-                for k, c in poly.items():
-                    acc[k + key] = acc.get(k + key, 0) + c * coeff
-        powers.append({e: {k: c for k, c in poly.items() if c} for e, poly in nxt.items()})
-    unpack = lambda k: tuple(k // base**i % base for i in range(variables))
-    levels = []
-    for r in range(1, depth + 1):
-        acc = {}
-        big = powers[r - r // 2]
-        for e, small_poly in powers[r // 2].items():
-            big_poly = big.get(tuple(-x for x in e))
-            if big_poly:
-                for k1, c1 in small_poly.items():
-                    for k2, c2 in big_poly.items():
-                        acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-        poly = {unpack(k): normalize_rational(c) for k, c in acc.items() if c}
-        levels.append(types.MappingProxyType(poly))
-    return tuple(levels)
+                terms[pack_exponents(point, base) * split + ckey] = coeff
+    return tuple(
+        types.MappingProxyType({
+            tuple(k // digit**i % digit for i in range(sum(free))): normalize_rational(c)
+            for k, c in level.items() if c
+        })
+        for level in constant_term_levels(terms, depth, split)[1:]
+    )
 
 
 def _sparse_terms(poly, positions):
@@ -539,7 +526,8 @@ def search_mod_p(ansatz, target, p, depth=None):
     assigned = 0
     enumerated = 0
     per_level = []
-    for r in range(1, depth + 1):
+    # level depth + 1 only assigns the orbits that never influence the prefix
+    for r in range(1, depth + 2):
         need = sum(
             1 for k in order if levels.get(undetermined[k][0], depth + 1) <= r
         )
@@ -548,6 +536,8 @@ def search_mod_p(ansatz, target, p, depth=None):
             partials = [part + (v,) for part in partials for v in domain]
             enumerated += len(partials)
             assigned += 1
+        if r > depth:
+            break
         if r in unreachable:
             partials = []
         else:
@@ -557,24 +547,10 @@ def search_mod_p(ansatz, target, p, depth=None):
         per_level.append((r, len(partials)))
         if not partials:
             break
-    if partials:
-        # orbits that never influence the checked prefix still need values
-        while assigned < len(order):
-            domain = domains[assigned]
-            partials = [part + (v,) for part in partials for v in domain]
-            enumerated += len(partials)
-            assigned += 1
     survivors = tuple(
         sorted(tuple(part[position[k]] for k in range(len(order))) for part in partials)
     )
-    stats = PrimeStats(
-        prime=p,
-        depth=depth,
-        enumerated=enumerated,
-        survivors_per_level=tuple(per_level),
-        survivor_count=len(survivors),
-    )
-    return survivors, stats
+    return survivors, PrimeStats(p, depth, enumerated, tuple(per_level), len(survivors))
 
 
 def _crt(residues, primes):
@@ -637,9 +613,9 @@ def lift_and_verify(per_prime, ansatz, config):
             raise ValueError(f"missing survivor list for prime {p}")
     undetermined = _undetermined(ansatz)
     target = config.target
-    identity = range(len(undetermined))
+    prefix = target.truncate(config.verify_depth)
     checks = [
-        (target[r], _sparse_terms(poly, identity))
+        (target[r], _sparse_terms(poly, range(len(undetermined))))
         for r, poly in enumerate(_level_polynomials(ansatz, config.depth), 1)
     ]
     matches = {}
@@ -649,32 +625,24 @@ def lift_and_verify(per_prime, ansatz, config):
     for combo in itertools.product(*(per_prime[p] for p in primes)):
         combinations += 1
         option_lists = []
-        blocked_by_range = False
-        viable = True
         for pos, (_, spec) in enumerate(undetermined):
             value, modulus = _crt([assignment[pos] for assignment in combo], primes)
             if spec.domain.kind == "choice":
                 options = [v for v in spec.domain.values if v % modulus == value]
             else:
                 options = _symmetric_lifts(value, modulus, config.height)
-                if not options:
-                    blocked_by_range = True
             if not options:
-                viable = False
+                range_blocked += spec.domain.kind != "choice"
                 break
             option_lists.append(options)
-        if not viable:
-            if blocked_by_range:
-                range_blocked += 1
-            continue
-        for values in itertools.product(*option_lists):
-            lifts_tried += 1
-            if any(_evaluate(terms, values) != want for want, terms in checks):
-                continue
-            candidate = _assemble(ansatz, undetermined, values)
-            series = constant_term_series(candidate, config.verify_depth)
-            if all(series[i] == target[i] for i in range(config.verify_depth + 1)):
-                matches.setdefault(candidate.to_text(), candidate)
+        else:
+            for values in itertools.product(*option_lists):
+                lifts_tried += 1
+                if any(_evaluate(terms, values) != want for want, terms in checks):
+                    continue
+                candidate = _assemble(ansatz, undetermined, values)
+                if constant_term_series(candidate, config.verify_depth) == prefix:
+                    matches.setdefault(candidate.to_text(), candidate)
     if not matches and lifts_tried == 0 and range_blocked > 0:
         exc = HeightBoundExceeded(
             f"{combinations} residue combinations survived modulo"
@@ -703,14 +671,7 @@ def search(ansatz, config):
     try:
         matches, combinations, lifts_tried = lift_and_verify(per_prime, ansatz, config)
     except HeightBoundExceeded as exc:
-        exc.stats = SearchStats(
-            tuple(prime_stats), getattr(exc, "combinations", 0), 0, 0
-        )
+        exc.stats = SearchStats(tuple(prime_stats), getattr(exc, "combinations", 0), 0, 0)
         raise
-    stats = SearchStats(
-        prime_stats=tuple(prime_stats),
-        residue_combinations=combinations,
-        lifts_tried=lifts_tried,
-        exact_matches=len(matches),
-    )
+    stats = SearchStats(tuple(prime_stats), combinations, lifts_tried, len(matches))
     return SearchResult(matches=matches, stats=stats)

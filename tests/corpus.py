@@ -5,7 +5,7 @@ import math
 import random
 
 from weaklg import linalg
-from weaklg.laurent import LaurentPoly
+from weaklg.laurent import LaurentPoly, substitute_monomial
 from weaklg.polytope import LatticePolytope, NotFullDimensional
 
 
@@ -68,6 +68,46 @@ def phi_bruteforce(f, N):
         power = {e: c for e, c in acc.items() if c != 0}
         out.append(power.get(origin, 0))
     return out
+
+
+def multiply_bruteforce(f, g):
+    """f * g by nested-loop convolution on exponent tuples, as an oracle."""
+    acc = {}
+    for e1, c1 in f.term_map().items():
+        for e2, c2 in g.term_map().items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return LaurentPoly(f.dimension, acc)
+
+
+def random_mutation_pair(rng, n=3):
+    """Two polynomials related by a mutation, so with equal constant-term series.
+
+    With the grading w = e_n, a factor F whose exponents lie in w-perp and
+    slices g_h whose exponents have last coordinate h, the pair is
+    f = sum_{h<0} g_h F^(-h) + sum_{h>=0} g_h and
+    f' = sum_{h<0} g_h + sum_{h>=0} g_h F^h; the map x^m -> x^m F^(w.m) takes
+    f to f' and keeps the torus volume form.  Both then go through one random
+    unimodular substitution, so the grading is no longer a coordinate.
+    See Akhtar, Coates, Galkin and Kasprzyk, "Minkowski polynomials and
+    mutations" (SIGMA 8, 2012).
+    """
+    flat = [tuple(rng.randint(-1, 1) for _ in range(n - 1)) for _ in range(rng.randint(2, 3))]
+    factor = LaurentPoly(n, {e + (0,): rng.choice((1, 1, 2, -1)) for e in flat})
+    f = f_prime = LaurentPoly.zero(n)
+    for h in range(-2, 3):
+        count = rng.randint(1, 3) if h else rng.randint(0, 2)
+        terms = {
+            tuple(rng.randint(-1, 1) for _ in range(n - 1)) + (h,): rng.choice((1, 1, 2, -1, 3))
+            for _ in range(count)
+        }
+        g = shifted = LaurentPoly(n, terms)
+        for _ in range(abs(h)):
+            shifted = multiply_bruteforce(shifted, factor)
+        f += shifted if h < 0 else g
+        f_prime += g if h < 0 else shifted
+    matrix = random_unimodular(rng, n)
+    return substitute_monomial(f, matrix), substitute_monomial(f_prime, matrix)
 
 
 def _dot(a, x):
@@ -137,6 +177,30 @@ def hull_bruteforce(points):
         if len(incident) >= n and linalg.rank(incident) == n:
             vertices.append(p)
     return LatticePolytope(n, vertices, facet_list)
+
+
+def picard_rank_all_pairs(P):
+    """Picard rank of the face fan with every pair of cones made to agree.
+
+    One row per (facet pair, shared vertex), so a vertex on k facets gives
+    k(k-1)/2 rows where the library's chain gives k - 1; equality is
+    transitive, so the solution space is the same.  Lattice polytopes of
+    dimension <= 3 with the origin in the interior only.
+    """
+    n = P.dimension
+    facets = P.facets
+    table = [P.facet_vertices(facet) for facet in facets]
+    cols = n * len(facets)
+    rows = []
+    for i in range(len(facets)):
+        for j in range(i + 1, len(facets)):
+            for w in set(table[i]).intersection(table[j]):
+                row = [0] * cols
+                for k in range(n):
+                    row[n * i + k] = w[k]
+                    row[n * j + k] = -w[k]
+                rows.append(row)
+    return cols - (linalg.rank(rows) if rows else 0) - n
 
 
 def corpus(seed, count, **kwargs):

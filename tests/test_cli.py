@@ -189,6 +189,14 @@ def test_polytope_vertex_file_with_ragged_rows(tmp_path, capsys):
     assert err == "error: line 2: vertex has 2 coordinates, expected 3\n"
 
 
+def test_search_ansatz_with_ragged_rows(tmp_path, capsys):
+    ragged = tmp_path / "ragged.ansatz"
+    ragged.write_text("1 0 0 : a : free\n0 1 : b : free\n")
+    assert main(["search", "-a", str(ragged), "--catalog", "V18", "--prime", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: point has 2 coordinates, expected 3\n"
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

@@ -18,7 +18,14 @@ from weaklg.laurent import (
     substitute_monomial,
 )
 
-from corpus import phi_bruteforce, random_laurent, random_scales, random_unimodular
+from corpus import (
+    multiply_bruteforce,
+    phi_bruteforce,
+    random_laurent,
+    random_mutation_pair,
+    random_scales,
+    random_unimodular,
+)
 
 
 def test_normalize_rational_collapses_integral_fractions():
@@ -193,17 +200,79 @@ def test_series_against_bruteforce_convolution():
         assert list(constant_term_series(f, 6)) == phi_bruteforce(f, 6)
 
 
+def _assert_both_entry_points_match_bruteforce(f, N):
+    want = phi_bruteforce(f, N)
+    assert list(constant_term_series(f, N)) == want
+    assert list(constant_term_series_mitm(f, N)) == want
+
+
 def test_mitm_equals_plain_on_random_corpus():
     rng = random.Random(29)
     for _ in range(15):
-        f = random_laurent(rng, n=3, max_terms=6)
-        assert constant_term_series_mitm(f, 8) == constant_term_series(f, 8)
+        _assert_both_entry_points_match_bruteforce(random_laurent(rng, n=3, max_terms=6), 8)
 
 
 def test_mitm_handles_odd_even_and_tiny_orders():
     f = LaurentPoly(2, {(1, 0): 2, (-1, 0): 1, (0, 1): 1, (0, -1): Fraction(1, 2)})
     for N in (0, 1, 2, 3, 7):
-        assert constant_term_series_mitm(f, N) == constant_term_series(f, N)
+        _assert_both_entry_points_match_bruteforce(f, N)
+
+
+def test_series_edge_cases_against_bruteforce():
+    rng = random.Random(31)
+    cases = [
+        # Fraction coefficients
+        LaurentPoly(3, {(1, 0, 0): Fraction(2, 3), (0, 1, -1): Fraction(-5, 7),
+                        (-1, -1, 1): 3, (0, 0, 0): Fraction(1, 2)}),
+        # one variable and five
+        LaurentPoly(1, {(1,): 1, (-1,): 1, (2,): -3, (-2,): Fraction(1, 4)}),
+        random_laurent(rng, n=1, max_terms=5),
+        random_laurent(rng, n=5, max_terms=7),
+        LaurentPoly(5, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1,
+                        (0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 1): 1, (-1, -1, -1, -1, -1): 1}),
+        # exponents of +-1000 need a wide packing base
+        LaurentPoly(3, {(1000, 0, -1000): 1, (-1000, 0, 1000): 2, (0, 1000, 0): 1,
+                        (0, -1000, 0): 1, (1, -1, 0): -1, (-1, 1, 0): 1}),
+        LaurentPoly(2, {(1000, -1): 1, (-999, 1): 1, (-1, 0): 1}),
+        # constants: max |e| = 0
+        LaurentPoly.constant(3, 5),
+        LaurentPoly.constant(2, Fraction(-2, 3)),
+        LaurentPoly.zero(2),
+        # terms of the powers cancel
+        LaurentPoly(2, {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}),
+        LaurentPoly(2, {(1, 0): 1, (0, 1): -1, (-1, 0): 1, (0, -1): -1,
+                        (1, -1): 1, (-1, 1): -1}),
+    ]
+    for f in cases:
+        for N in (0, 1, 2, 5, 6):
+            _assert_both_entry_points_match_bruteforce(f, N)
+
+
+def test_mutation_pairs_have_equal_series():
+    rng = random.Random(2012)
+    distinct = 0
+    for _ in range(30):
+        f, g = random_mutation_pair(rng)
+        distinct += f != g
+        assert constant_term_series(f, 12) == constant_term_series(g, 12)
+        assert list(constant_term_series(f, 3)) == phi_bruteforce(f, 3)
+        assert list(constant_term_series_mitm(g, 3)) == phi_bruteforce(g, 3)
+    assert distinct >= 25
+
+
+def test_products_and_powers_against_tuple_keyed_products():
+    rng = random.Random(67)
+    for n in (1, 2, 3, 5):
+        for _ in range(12):
+            f = random_laurent(rng, n=n, max_terms=5, box=rng.choice((2, 3, 1000)))
+            g = random_laurent(rng, n=n, max_terms=5, box=rng.choice((2, 3, 1000)))
+            g = g * Fraction(1, 3) + f
+            assert f * g == multiply_bruteforce(f, g)
+            assert g * f == f * g
+            power = LaurentPoly.constant(n, 1)
+            for k in range(5):
+                assert f**k == power
+                power = multiply_bruteforce(power, f)
 
 
 def test_series_rejects_negative_order_and_wrong_type():

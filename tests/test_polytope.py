@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from corpus import hull_bruteforce, random_unimodular
+from corpus import hull_bruteforce, picard_rank_all_pairs, random_unimodular
 from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
@@ -105,18 +106,27 @@ def _gl3z_invariants(P):
     )
 
 
-def test_polytope_invariants_are_gl3z_invariant():
+@functools.lru_cache(maxsize=1)
+def _gl3z_corpus():
+    """100 Newton polytopes around the unit octahedron, each with a GL(3,Z) image."""
     rng = random.Random(4)
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    canonical = reflexive = 0
+    pairs = []
     for _ in range(100):
         support = units + [
             tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 6))
         ]
         f = LaurentPoly(3, {e: 1 for e in support})
         g = substitute_monomial(f, random_unimodular(rng))
-        before = _gl3z_invariants(newton_polytope(f))
-        assert _gl3z_invariants(newton_polytope(g)) == before
+        pairs.append((newton_polytope(f), newton_polytope(g)))
+    return tuple(pairs)
+
+
+def test_polytope_invariants_are_gl3z_invariant():
+    canonical = reflexive = 0
+    for P, Q in _gl3z_corpus():
+        before = _gl3z_invariants(P)
+        assert _gl3z_invariants(Q) == before
         canonical += before[0]
         reflexive += before[1]
     assert 0 < reflexive < canonical < 100
@@ -237,6 +247,17 @@ def test_picard_rank_of_newton_polytopes():
     for name in ("V16", "V18", "V22"):
         P = newton_polytope(catalog.builtin(name).model)
         assert picard_rank(P) == 1
+
+
+def test_picard_rank_chain_matches_all_pairs_oracle():
+    polytopes = [p3_simplex(), octahedron(), cube()]
+    polytopes += [newton_polytope(catalog.builtin(name).model) for name in ("V16", "V18", "V22")]
+    # the images under GL(3,Z) have the same rank, checked above
+    polytopes += [P for P, _ in _gl3z_corpus()]
+    polytopes += [as_lattice(dual(P)) for P in polytopes if is_reflexive(P)]
+    assert len(polytopes) > 106
+    for P in polytopes:
+        assert picard_rank(P) == picard_rank_all_pairs(P)
 
 
 def test_invariant_report_matches_record():

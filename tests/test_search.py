@@ -127,6 +127,18 @@ def test_ansatz_dim_header_is_a_comment_starting_with_the_word_dim():
         assert info.value.line == line
 
 
+def test_ansatz_rows_of_the_wrong_length_fail_with_their_line_number():
+    for text, line, message in (
+        ("1 0 0 : a : free\n0 1 : b : free\n", 2, "point has 2 coordinates, expected 3"),
+        ("# dim 3\n\n0 1 : b : free\n", 3, "point has 2 coordinates, expected 3"),
+        ("1 0 : a : free\n0 1 1 : a : free\n", 2, "point has 3 coordinates, expected 2"),
+    ):
+        with pytest.raises(ParseError) as info:
+            SupportAnsatz.from_text(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+
 def s3_generators():
     swap01 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
