@@ -215,23 +215,10 @@ def fit_operator(series, m, r, N=None):
         raise ValueError(
             f"prefix too short: need N >= {minimum} for order {m}, t-degree {r}, got {N}"
         )
-    rows = []
-    for k in range(N + 1):
-        row = []
-        for j in range(r + 1):
-            i = k - j
-            if i < 0:
-                row.extend([0] * (m + 1))
-                continue
-            s = series[i]
-            if s == 0:
-                row.extend([0] * (m + 1))
-                continue
-            power = 1
-            for _ in range(m + 1):
-                row.append(s * power)
-                power *= i
-        rows.append(row)
+    rows = [
+        [series[k - j] * (k - j) ** l if k >= j else 0 for j in range(r + 1) for l in range(m + 1)]
+        for k in range(N + 1)
+    ]
     basis = linalg.nullspace(rows, ncols=unknowns)
     ops = []
     for vec in basis:

@@ -1,13 +1,14 @@
 """Small exact linear algebra helpers over the rationals.
 
-Forward elimination is fraction-free (Bareiss) on integer-scaled rows, so
-intermediate entries stay integers of moderate size; rationals reappear only
-during back-substitution.  Matrices are plain sequences of rows.
+Rows are scaled to integers.  `rank` runs fraction-free (Bareiss) elimination;
+`nullspace` works modulo primes and certifies its answer with one exact
+integer product.  Matrices are plain sequences of rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -51,11 +52,59 @@ def _echelon(rows):
 
 
 def rank(rows) -> int:
-    mat = [r for r in _scaled_integer_rows(rows) if any(r)]
-    if not mat:
-        return 0
-    _, pivots = _echelon(mat)
+    _, pivots = _echelon([r for r in _scaled_integer_rows(rows) if any(r)])
     return len(pivots)
+
+
+def _primes():
+    """Primes down from 2^61 - 1; Miller-Rabin on 12 prime bases is exact here."""
+    n = (1 << 61) - 1
+    while True:
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        d = (n - 1) >> s
+        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            yield n
+        n -= 2
+
+
+def _rref_mod(rows, ncols, p):
+    """(RREF mod p, pivot columns, source rows); only pivot rows are reduced."""
+    a = [[x % p for x in row] for row in rows]
+    order, pivots = list(range(len(a))), []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c] % p), None)
+        if k is None:
+            continue
+        a[r], a[k], order[r], order[k] = a[k], a[r], order[k], order[r]
+        inv = pow(a[r][c], -1, p)
+        top = a[r][c:] = [x * inv % p for x in a[r][c:]]
+        for i, row in enumerate(a):
+            f = row[c] % p
+            if f and i != r:
+                row[c:] = [x - f * y for x, y in zip(row[c:], top)]
+        pivots.append(c)
+    return a, pivots, order[: len(pivots)]
+
+
+def _reconstruct(xs, m):
+    """D*x mod m for x in xs and one D, all within sqrt(m/2), or None.  Wang's
+    half-extended Euclid takes no step where D*x mod m is already small."""
+    bound, den, w = math.isqrt(m >> 1), 1, []
+    for x in xs:
+        r0, r1, t0, t1 = m, x * den % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if t1 * den > bound:
+            return None
+        if t1 != 1:
+            den, w = den * t1, [u * t1 for u in w]
+        w.append(r1)
+    return w
 
 
 def nullspace(rows, ncols=None):
@@ -64,6 +113,15 @@ def nullspace(rows, ncols=None):
     One vector per free column, in free-column order, each scaled so that its
     first nonzero entry equals 1.  With no rows at all the result is the
     standard basis, so callers must pass ncols when rows may be empty.
+
+    Multi-modular, with Wang's (1981) rational reconstruction; cf. Dixon
+    (1982).  A better pivot list mod p (larger rank, then smaller) restarts
+    the Chinese remaindering, a worse one drops the prime; a prime reducing
+    all rows picks rank-many for the next primes until the certificate fails.
+    A w = 0 on every row, w on its free column and earlier pivots, proves the
+    pivots over Q are those mod p and w the reduced-echelon vector; full rank
+    mod p needs no check.  Finitely many primes are unlucky and reconstruction
+    works once the modulus exceeds 2 H^2 (Hadamard bound H): the loop has no cap.
     """
     rows = [list(r) for r in rows]
     if ncols is None:
@@ -71,27 +129,32 @@ def nullspace(rows, ncols=None):
             raise ValueError("ncols is required when no rows are given")
         ncols = len(rows[0])
     mat = [r for r in _scaled_integer_rows(rows) if any(r)]
-    if mat:
-        ech, pivots = _echelon(mat)
-    else:
-        ech, pivots = [], []
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            pc = pivots[i]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if ech[i][j] and vec[j]:
-                    s += ech[i][j] * vec[j]
-            vec[pc] = -s / ech[i][pc]
-        first = next(x for x in vec if x)
-        if first != 1:
-            vec = [x / first for x in vec]
-        basis.append(tuple(vec))
-    return basis
+    best = chosen = None
+    for p in _primes():
+        sub = mat if chosen is None else [mat[i] for i in chosen]
+        ech, pivots, used = _rref_mod(sub, ncols, p)
+        if len(pivots) == ncols:
+            return []
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        if chosen is None:
+            chosen = used
+        if key != best:
+            best, modulus = key, 1
+            free = [c for c in range(ncols) if c not in pivots]
+            acc = [[0] * ncols for _ in free]
+        row_of, h = dict(zip(pivots, ech)), pow(modulus, -1, p)
+        res = [[-row_of[j][c] if j in row_of else int(j == c) for j in range(ncols)] for c in free]
+        acc = [[x + modulus * ((y - x) * h % p) for x, y in zip(xs, ys)] for xs, ys in zip(acc, res)]
+        modulus *= p
+        ws = [_reconstruct(xs, modulus) for xs in acc]
+        if None in ws:
+            continue
+        if all(sum(map(operator.mul, row, w)) == 0 for w in ws for row in mat):
+            firsts = [next(x for x in w if x) for w in ws]
+            return [tuple(Fraction(x, f) for x in w) for w, f in zip(ws, firsts)]
+        chosen = None
 
 
 def det(matrix):

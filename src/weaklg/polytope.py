@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .laurent import format_rational, normalize_rational
+from .laurent import ParseError, format_rational, normalize_rational
 
 
 class NotFullDimensional(ValueError):
@@ -191,8 +191,6 @@ def convex_hull(points):
 
 def polytope_from_text(text):
     """Vertex-per-line format: space-separated integers, '#' comments."""
-    from .laurent import ParseError
-
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

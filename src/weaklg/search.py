@@ -196,6 +196,8 @@ class SupportAnsatz:
                 point = tuple(int(tok) for tok in parts[0].split())
             except ValueError:
                 raise ParseError(f"bad point {parts[0]!r}", lineno) from None
+            if not point:
+                raise ParseError("empty point", lineno)
             if declared is None:
                 declared = len(point)
             if len(point) != declared:

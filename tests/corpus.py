@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from weaklg import linalg
 from weaklg.laurent import LaurentPoly, substitute_monomial
@@ -10,8 +11,11 @@ from weaklg.polytope import LatticePolytope, NotFullDimensional
 
 
 def random_laurent(rng, n=3, max_terms=8, box=2, coeff_bound=5):
-    """Random nonzero polynomial: small support, small integer coefficients."""
-    count = rng.randint(1, max_terms)
+    """Random nonzero polynomial: small support, small integer coefficients.
+
+    At most (2 box + 1)^n terms, the size of the box, however large max_terms.
+    """
+    count = min(rng.randint(1, max_terms), (2 * box + 1) ** n)
     terms = {}
     while len(terms) < count:
         e = tuple(rng.randint(-box, box) for _ in range(n))
@@ -39,8 +43,6 @@ def random_unimodular(rng, n=3, steps=6):
 
 
 def random_scales(rng, n=3):
-    from fractions import Fraction
-
     out = []
     for _ in range(n):
         num = rng.choice((-3, -2, -1, 1, 2, 3))
@@ -114,12 +116,47 @@ def _dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
+def nullspace_bareiss(rows, ncols=None):
+    """Nullspace by Bareiss elimination and Fraction back-substitution.
+
+    The oracle for the multi-modular `linalg.nullspace`: the same basis, the
+    same scaling and the same errors, reached without any modular arithmetic.
+    """
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols is required when no rows are given")
+        ncols = len(rows[0])
+    mat = [r for r in linalg._scaled_integer_rows(rows) if any(r)]
+    if mat:
+        ech, pivots = linalg._echelon(mat)
+    else:
+        ech, pivots = [], []
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            pc = pivots[i]
+            s = Fraction(0)
+            for j in range(pc + 1, ncols):
+                if ech[i][j] and vec[j]:
+                    s += ech[i][j] * vec[j]
+            vec[pc] = -s / ech[i][pc]
+        first = next(x for x in vec if x)
+        if first != 1:
+            vec = [x / first for x in vec]
+        basis.append(tuple(vec))
+    return basis
+
+
 def _hyperplane_normal(points):
     """Primitive integer normal of the hyperplane through n points, or None."""
     base = points[0]
     n = len(base)
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    kernel = linalg.nullspace(rows, ncols=n)
+    kernel = nullspace_bareiss(rows, ncols=n)
     if len(kernel) != 1:
         return None
     vec = kernel[0]

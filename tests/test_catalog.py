@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weaklg import catalog
-from weaklg.dseries import apply_operator, solve_series
+from weaklg.dseries import apply_operator, rescale_t, shift_constant, solve_series
 from weaklg.laurent import ParseError, constant_term_series
 from weaklg.polytope import invariant_report, newton_polytope
 
@@ -106,6 +107,40 @@ def test_no_rescaling_reconciles_the_v22_operator():
     sol = solve_series(rescaled, 2)
     assert sol[1] == 4
     assert sol[2] != 28
+
+
+def test_v22_stored_solution_is_recorded_data():
+    """The stored operator's a_0 = 1 solution is not integral, so it is the
+    series of no integral Laurent polynomial; the record keeps it as given."""
+    sol = list(solve_series(catalog.builtin("V22").operator, 3))
+    assert sol == [1, Fraction(32, 5), Fraction(1284, 25), Fraction(559052, 1125)]
+    assert any(Fraction(a).denominator != 1 for a in sol)
+
+
+def test_no_constant_shift_and_rescaling_reconciles_the_v22_operator():
+    """lambda^k phi_{f+c}(k) = a_k needs phi_{f+c}(2) / phi_{f+c}(1)^2 =
+    a_2 / a_1^2 = 321/256, a ratio that rescaling t leaves fixed.  A shift
+    keeps d = phi_2 - phi_1^2, so u = phi_1 + c must satisfy
+    256 (u^2 + d) = 321 u^2, i.e. u^2 = 256 d / 65, which is no rational
+    square (and u = 0 would give a_1 = 0)."""
+    rec = catalog.builtin("V22")
+    a = solve_series(rec.operator, 2)
+    ratio = Fraction(a[2]) / Fraction(a[1]) ** 2
+    assert ratio == Fraction(321, 256)
+    for lam in (Fraction(5, 8), -3, Fraction(7, 2)):
+        b = solve_series(rescale_t(rec.operator, lam), 2)
+        assert Fraction(b[2]) / Fraction(b[1]) ** 2 == ratio
+    phi = constant_term_series(rec.model, 2)
+    d = phi[2] - phi[1] ** 2
+    for c in (-4, Fraction(-7, 3), 0, Fraction(1, 2), 5):
+        shifted = shift_constant(phi, c)
+        assert shifted[1] == phi[1] + c
+        assert shifted[2] - shifted[1] ** 2 == d
+    u2 = 256 * Fraction(d) / 65
+    assert u2 == Fraction(3072, 65)
+    assert math.isqrt(u2.numerator) ** 2 != u2.numerator or (
+        math.isqrt(u2.denominator) ** 2 != u2.denominator
+    )
 
 
 def test_degree_genus_h0_relations():

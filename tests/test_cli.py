@@ -197,6 +197,14 @@ def test_search_ansatz_with_ragged_rows(tmp_path, capsys):
     assert err == "error: line 2: point has 2 coordinates, expected 3\n"
 
 
+def test_search_ansatz_with_an_empty_point(tmp_path, capsys):
+    empty = tmp_path / "empty.ansatz"
+    for text in (" : a : free\n", " : a : free\n1 0 0 : b : free\n"):
+        empty.write_text(text)
+        assert main(["search", "-a", str(empty), "--catalog", "V18", "--prime", "7"]) == 2
+        assert capsys.readouterr().err == "error: line 1: empty point\n"
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

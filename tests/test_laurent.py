@@ -118,6 +118,13 @@ def test_distributivity_on_random_corpus():
         assert (f + g) * h == f * h + g * h
 
 
+def test_random_laurent_caps_its_terms_at_the_box_size():
+    rng = random.Random(5)
+    sizes = {len(random_laurent(rng, n=1, max_terms=5, box=1).term_map()) for _ in range(30)}
+    assert sizes == {1, 2, 3}
+    assert len(random_laurent(rng, n=2, max_terms=100, box=0).term_map()) == 1
+
+
 def test_poly_text_round_trip():
     rng = random.Random(5)
     for _ in range(10):

@@ -1,11 +1,15 @@
-"""Cross-checks of the exact linear algebra against an independent library."""
+"""Cross-checks of the exact linear algebra against sympy and, for the
+multi-modular nullspace, the Bareiss oracle `corpus.nullspace_bareiss`."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from weaklg import linalg
+from corpus import nullspace_bareiss
+from weaklg import catalog, dseries, linalg
+from weaklg.laurent import constant_term_series
 
 sympy = pytest.importorskip("sympy")
 
@@ -74,3 +78,149 @@ def test_primitive_vectors():
     assert linalg.primitive([-3]) == (-1,)
     with pytest.raises(ValueError):
         linalg.primitive([0, 0])
+
+
+P61 = 2**61 - 1
+
+
+def _entry(rng, den_bound):
+    num = rng.randint(-50, 50)
+    if den_bound > 1 and rng.random() < 0.5:
+        return Fraction(num, rng.randint(1, den_bound))
+    return num
+
+
+def _random_system(rng, den_bound):
+    """A product of random nrows x rank and rank x ncols factors, maybe with
+    zero rows mixed in, so every shape and rank occurs."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rank = rng.randint(0, min(nrows, ncols))
+    left = [[_entry(rng, den_bound) for _ in range(rank)] for _ in range(nrows)]
+    right = [[_entry(rng, den_bound) for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum((a * b[j] for a, b in zip(lrow, right)), 0) for j in range(ncols)]
+            for lrow in left]
+    if rng.random() < 0.2:
+        rows.insert(rng.randint(0, nrows), [0] * ncols)
+    return rows
+
+
+@pytest.mark.parametrize("den_bound", [1, 10**6])
+def test_nullspace_equals_bareiss_oracle_on_random_shapes(den_bound):
+    rng = random.Random(41 + den_bound)
+    seen = set()
+    for _ in range(150):
+        rows = _random_system(rng, den_bound)
+        nrows, ncols = len(rows), len(rows[0])
+        basis = linalg.nullspace(rows)
+        assert basis == nullspace_bareiss(rows)
+        assert len(basis) == ncols - sympy.Matrix(rows).rank()
+        assert all(isinstance(x, Fraction) for vec in basis for x in vec)
+        seen.add("tall" if nrows > ncols else "wide" if nrows < ncols else "square")
+        seen.add("full column rank" if not basis else "deficient")
+        if any(not any(row) for row in rows):
+            seen.add("zero row")
+    assert seen == {"tall", "wide", "square", "full column rank", "deficient", "zero row"}
+
+
+def _fit_systems(monkeypatch):
+    """The (rows, ncols) that `fit_operator` solves for the benchmark's fits."""
+    rec = catalog.builtin("V22")
+    v22 = constant_term_series(rec.model, 35)
+    derived = dseries.solve_series(rec.derived_operator, 89)
+    captured = []
+
+    def capture(rows, ncols=None):
+        captured.append((rows, ncols))
+        return []
+
+    monkeypatch.setattr(dseries.linalg, "nullspace", capture)
+    for series, m, r, N in ((v22, 3, 4, 35), (derived, 6, 8, 72), (derived, 7, 9, 89)):
+        dseries.fit_operator(series, m, r, N)
+    monkeypatch.undo()
+    return captured
+
+
+def _spy_rref(monkeypatch):
+    """Record (rows reduced, pivot columns) for every prime nullspace uses."""
+    calls = []
+    real = linalg._rref_mod
+
+    def spy(rows, ncols, p):
+        out = real(rows, ncols, p)
+        calls.append((rows, out[1]))
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    return calls
+
+
+def test_nullspace_equals_bareiss_oracle_on_benchmark_fit_systems(monkeypatch):
+    systems = _fit_systems(monkeypatch)
+    calls = _spy_rref(monkeypatch)
+    sizes = []
+    for rows, ncols in systems:
+        basis = linalg.nullspace(rows, ncols)
+        assert basis == nullspace_bareiss(rows, ncols)
+        sizes.append(len(basis))
+    assert sizes == [2, 24, 35]
+    # The 90 x 80 system of rank 45 is reduced in full once, then only on the
+    # 45 rows that prime picked.
+    assert [(len(r), p) for r, p in calls[-2:]] == [(90, calls[-1][1]), (45, calls[-1][1])]
+    assert len(calls[-1][1]) == 45
+
+
+def test_prime_generator_counts_down_from_the_mersenne_prime():
+    primes = list(itertools.islice(linalg._primes(), 8))
+    assert primes[0] == P61
+    assert primes == sorted(primes, reverse=True)
+    assert all(sympy.isprime(p) for p in primes)
+    assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
+
+
+def test_prime_losing_rank_forces_row_reselection(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    # Mod 2^61 - 1 only row 0 is a pivot row; reducing that row alone at every
+    # later prime would never reach the rank over Q.
+    assert linalg.nullspace([[1, 0], [0, P61]]) == []
+    assert [(len(r), p) for r, p in calls] == [(2, [0]), (2, [0, 1])]
+    calls.clear()
+    rows = [[1, 0, 0], [0, P61, 0], [2, 0, 0]]
+    assert linalg.nullspace(rows) == nullspace_bareiss(rows) == [(0, 0, 1)]
+    assert [(len(r), p) for r, p in calls] == [(3, [0]), (3, [0, 1])]
+
+
+def test_later_primes_reduce_the_pivot_rows_of_the_first(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    big = 10**30
+    r0, r2 = [1, 2, 3 * big], [0, 1, big + 1]
+    rows = [r0, [2 * x for x in r0], r2, [a + b for a, b in zip(r0, r2)]]
+    # The kernel is spanned by (2 - big, -big - 1, 1), which needs a modulus
+    # over 2 big^2.  The first prime reduces all rows and picks r0 and r2; a
+    # prime after a failed certificate reduces all rows again.
+    assert linalg.nullspace(rows) == nullspace_bareiss(rows)
+    reduced = [r for r, _ in calls]
+    assert len(reduced) >= 4 and reduced[:2] == [rows, [r0, r2]]
+    assert all(r in (rows, [r0, r2]) for r in reduced)
+
+
+def test_wrong_pivot_list_mod_the_first_prime_is_replaced(monkeypatch):
+    calls = _spy_rref(monkeypatch)
+    rows = [[P61, 1]]
+    assert linalg.nullspace(rows) == nullspace_bareiss(rows) == [(1, -P61)]
+    # Mod 2^61 - 1 the pivot is column 1; the certificate rejects that basis,
+    # column 0 wins at the next prime, and -P61 needs a modulus over 2 P61^2.
+    assert [pivots for _, pivots in calls] == [[1], [0], [0], [0]]
+
+
+def test_entry_vanishing_mod_the_first_two_primes(monkeypatch):
+    p1, p2 = itertools.islice(linalg._primes(), 2)
+    calls = _spy_rref(monkeypatch)
+    for rows, wrong, right in (
+        ([[p1 * p2, 1]], [1], [0]),
+        ([[p1 * p2, 1, 3], [2 * p1 * p2, 5, 7]], [1, 2], [0, 1]),
+    ):
+        calls.clear()
+        assert linalg.nullspace(rows) == nullspace_bareiss(rows)
+        pivots = [pivots for _, pivots in calls]
+        assert pivots[:2] == [wrong, wrong]
+        assert pivots[2:] == [right] * (len(pivots) - 2)

@@ -139,6 +139,19 @@ def test_ansatz_rows_of_the_wrong_length_fail_with_their_line_number():
         assert str(info.value) == f"line {line}: {message}"
 
 
+def test_ansatz_row_with_an_empty_point_fails_on_its_own_line():
+    for text, line in (
+        (" : a : free\n", 1),
+        (" : a : free\n1 0 0 : b : free\n", 1),
+        ("1 0 0 : a : free\n\n : b : free\n", 3),
+        ("# dim 3\n : a : free\n", 2),
+    ):
+        with pytest.raises(ParseError) as info:
+            SupportAnsatz.from_text(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: empty point"
+
+
 def s3_generators():
     swap01 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
