@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .dseries import DOperator, solve_series
@@ -26,20 +26,19 @@ from .laurent import LaurentPoly, ParseError
 from . import laurent as _laurent
 
 
-@dataclass(frozen=True)
-class FanoRecord:
-    """Named Fano data: numerical invariants, operator, optional toric model."""
+class FanoRecord(namedtuple(
+    "FanoRecord",
+    "name genus degree h0 picard_rank operator model derived_operator"
+    " known_discrepancy notes",
+    defaults=(None, None, None, ""),
+)):
+    """Named Fano data: numerical invariants, operator, optional toric model.
 
-    name: str
-    genus: int
-    degree: int
-    h0: int
-    picard_rank: int
-    operator: DOperator
-    model: LaurentPoly | None = None
-    derived_operator: DOperator | None = None
-    known_discrepancy: str | None = None
-    notes: str = ""
+    `operator` and `derived_operator` are DOperators, `model` a LaurentPoly,
+    and `known_discrepancy` a string; the last three may be None.
+    """
+
+    __slots__ = ()
 
 
 def _poly_mul(a, b):

@@ -11,13 +11,12 @@ solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
 from . import linalg, polytope
 from .laurent import (
-    ClearingReport,
     LaurentPoly,
     ParseError,
     PowerSeries,
@@ -134,6 +133,10 @@ class DOperator:
                     raise ParseError("order and tdeg must be nonnegative", lineno)
                 header = (m, r)
                 continue
+            if len(rows) > header[1]:
+                raise ParseError(
+                    f"expected {header[1] + 1} coefficient rows, got {len(rows) + 1}", lineno
+                )
             values = [parse_rational(tok, lineno) for tok in line.split()]
             if len(values) != header[0] + 1:
                 raise ParseError(
@@ -142,7 +145,7 @@ class DOperator:
             rows.append(values)
         if header is None:
             raise ParseError("empty operator input")
-        if len(rows) != header[1] + 1:
+        if len(rows) < header[1] + 1:
             raise ParseError(f"expected {header[1] + 1} coefficient rows, got {len(rows)}")
         return cls(rows)
 
@@ -261,24 +264,22 @@ def shift_constant(series, c):
     return PowerSeries(out)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "verdict order_checked first_mismatch phi solution quartic newton_interior"
+    " determination_order",
+)):
     """Outcome of comparing Phi_f with an operator's fundamental solution.
 
+    `phi` and `solution` are the two PowerSeries, `first_mismatch` is an
+    index or None, and `quartic` is the ClearingReport of f.
     `determination_order` is (m+1)(r+1) + r for the operator checked: a prefix
     agreement at least that long pins the annihilating operator inside the
     (order, t-degree) window, so `determined_within_bound` says whether the
     check ran deep enough to be conclusive in that sense.
     """
 
-    verdict: str
-    order_checked: int
-    first_mismatch: int | None
-    phi: PowerSeries
-    solution: PowerSeries
-    quartic: ClearingReport
-    newton_interior: bool
-    determination_order: int
+    __slots__ = ()
 
     @property
     def confirmed(self):

@@ -12,7 +12,8 @@ Python ints where possible and Fractions otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -49,10 +50,18 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text, line=None):
-    """Parse `p` or `p/q`.  Decimal notation is rejected on purpose."""
+    """Parse `p` or `p/q` in ASCII digits.
+
+    Decimal and exponent notation, underscores and other scripts' digits are
+    rejected on purpose: `Fraction` would accept them, and a token such as
+    1e999999 would make it build a million-digit integer.
+    """
     token = text.strip()
-    if not token or "." in token:
+    if not _RATIONAL.fullmatch(token):
         raise ParseError(f"bad rational {token!r}", line)
     try:
         return normalize_rational(Fraction(token))
@@ -463,8 +472,7 @@ def resize(f, scales):
     return LaurentPoly(n, terms)
 
 
-@dataclass(frozen=True)
-class ClearingReport:
+class ClearingReport(namedtuple("ClearingReport", "passes cleared_degree shift")):
     """Result of clearing denominators of the pencil 1 - t f.
 
     `shift` is the componentwise monomial shift that clears all negative
@@ -473,9 +481,7 @@ class ClearingReport:
     the anticanonical degree of projective space).
     """
 
-    passes: bool
-    cleared_degree: int
-    shift: tuple
+    __slots__ = ()
 
 
 def quartic_compactification_check(f):

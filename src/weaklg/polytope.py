@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -377,25 +376,22 @@ def picard_rank(P):
     return solution_dim - n
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(collections.namedtuple(
+    "InvariantReport",
+    "canonical reflexive degree sections picard_rank dual_fan_picard_rank"
+    " mismatches notes",
+)):
     """Bundle of the screening invariants for one polytope.
 
+    `degree` is an int or Fraction and `notes` a tuple of strings.
     `mismatches` is None when no expected record was supplied, otherwise a
     tuple of (field, expected, actual) triples, empty on full agreement.
     `dual_fan_picard_rank` is filled for reflexive input because the fan
     could equally be built over the dual polytope, and the two readings can
-    differ.
+    differ; it is None otherwise.
     """
 
-    canonical: bool
-    reflexive: bool
-    degree: object
-    sections: int
-    picard_rank: int
-    dual_fan_picard_rank: int | None
-    mismatches: tuple | None
-    notes: tuple
+    __slots__ = ()
 
     @property
     def matches_expected(self):

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import types
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import (
@@ -53,30 +53,28 @@ def _is_prime(p):
     return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
-class CoefficientDomain:
+class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
     """What one orbit coefficient may be: free over Z, fixed, or a finite choice."""
 
-    kind: str
-    values: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "free":
-            if self.values:
+    def __new__(cls, kind, values=()):
+        if kind == "free":
+            if values:
                 raise ValueError("a free domain carries no values")
-        elif self.kind == "fixed":
-            if len(self.values) != 1:
+        elif kind == "fixed":
+            if len(values) != 1:
                 raise ValueError("a fixed domain needs exactly one value")
-            object.__setattr__(self, "values", (normalize_rational(self.values[0]),))
-        elif self.kind == "choice":
-            vals = tuple(sorted(set(self.values)))
-            if not vals:
+            values = (normalize_rational(values[0]),)
+        elif kind == "choice":
+            values = tuple(sorted(set(values)))
+            if not values:
                 raise ValueError("a choice domain needs at least one value")
-            if any(not isinstance(v, int) or isinstance(v, bool) for v in vals):
+            if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
                 raise ValueError("choice values must be integers")
-            object.__setattr__(self, "values", vals)
         else:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise ValueError(f"unknown domain kind {kind!r}")
+        return super().__new__(cls, kind, values)
 
     @classmethod
     def free(cls):
@@ -103,19 +101,20 @@ class CoefficientDomain:
         return "choice " + " ".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    """One symmetry orbit of support points sharing a single coefficient."""
+class OrbitSpec(namedtuple("OrbitSpec", "label points domain")):
+    """One symmetry orbit of support points sharing a single coefficient.
 
-    label: str
-    points: tuple
-    domain: CoefficientDomain
+    `points` comes out as a sorted tuple of distinct int tuples, and `domain`
+    is a CoefficientDomain.
+    """
 
-    def __post_init__(self):
-        pts = tuple(sorted({tuple(int(x) for x in p) for p in self.points}))
-        if not pts:
-            raise ValueError(f"orbit {self.label!r} has no points")
-        object.__setattr__(self, "points", pts)
+    __slots__ = ()
+
+    def __new__(cls, label, points, domain):
+        points = tuple(sorted({tuple(int(x) for x in p) for p in points}))
+        if not points:
+            raise ValueError(f"orbit {label!r} has no points")
+        return super().__new__(cls, label, points, domain)
 
     @property
     def representative(self):
@@ -182,6 +181,7 @@ class SupportAnsatz:
     def from_text(cls, text):
         declared = None
         groups = {}
+        owners = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line:
@@ -213,6 +213,8 @@ class SupportAnsatz:
                 raise ParseError(
                     f"orbit {label!r} has conflicting domain annotations", lineno
                 )
+            if owners.setdefault(point, label) != label:
+                raise ParseError(f"point {point} appears in two orbits", lineno)
             entry[1].append(point)
         if not groups:
             raise ParseError("empty ansatz input")
@@ -294,9 +296,10 @@ def orbits(points, generators):
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Target prefix plus the knobs of the modular search.
+class SearchConfig(namedtuple(
+    "SearchConfig", "target primes height depth verify_depth threads"
+)):
+    """Target prefix (a PowerSeries) plus the knobs of the modular search.
 
     `depth` is the modular matching depth (constraints phi(r) = a_r for
     r = 1..depth); `verify_depth` is the exact verification depth, so the
@@ -304,54 +307,46 @@ class SearchConfig:
     kept for compatibility; the search runs in one process whatever its value.
     """
 
-    target: PowerSeries
-    primes: tuple = (7,)
-    height: int = 6
-    depth: int = 4
-    verify_depth: int = 8
-    threads: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(self.primes))
-        if not self.primes:
+    def __new__(cls, target, primes=(7,), height=6, depth=4, verify_depth=8, threads=1):
+        primes = tuple(primes)
+        if not primes:
             raise ValueError("at least one prime is required")
-        if len(set(self.primes)) != len(self.primes):
+        if len(set(primes)) != len(primes):
             raise ValueError("primes must be distinct")
-        for p in self.primes:
+        for p in primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if self.height < 1:
+        if height < 1:
             raise ValueError("height bound must be at least 1")
-        if self.depth < 2:
+        if depth < 2:
             raise ValueError("modular depth must be at least 2")
-        if self.verify_depth < self.depth:
+        if verify_depth < depth:
             raise ValueError("verification depth must be at least the modular depth")
-        if self.target.order < self.verify_depth:
+        if target.order < verify_depth:
             raise ValueError(
-                f"target series order {self.target.order} is below the"
-                f" verification depth {self.verify_depth}"
+                f"target series order {target.order} is below the"
+                f" verification depth {verify_depth}"
             )
-        if self.target[0] != 1:
+        if target[0] != 1:
             raise ValueError("target series must have constant coefficient 1")
-        if self.threads < 1:
+        if threads < 1:
             raise ValueError("threads must be at least 1")
+        return super().__new__(cls, target, primes, height, depth, verify_depth, threads)
 
 
-@dataclass(frozen=True)
-class PrimeStats:
-    prime: int
-    depth: int
-    enumerated: int
-    survivors_per_level: tuple
-    survivor_count: int
+PrimeStats = namedtuple(
+    "PrimeStats", "prime depth enumerated survivors_per_level survivor_count"
+)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    prime_stats: tuple
-    residue_combinations: int
-    lifts_tried: int
-    exact_matches: int
+class SearchStats(namedtuple(
+    "SearchStats", "prime_stats residue_combinations lifts_tried exact_matches"
+)):
+    """Search counters; `prime_stats` holds one PrimeStats per prime."""
+
+    __slots__ = ()
 
     def to_document(self):
         lines = []
@@ -366,10 +361,7 @@ class SearchStats:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    matches: tuple
-    stats: SearchStats
+SearchResult = namedtuple("SearchResult", "matches stats")
 
 
 def _involvement_levels(ansatz, depth):

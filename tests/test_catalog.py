@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -173,7 +172,7 @@ def test_save_load_files(tmp_path):
 
 
 def test_load_warns_on_degree_genus_disagreement():
-    rec = replace(catalog.builtin("V16"), genus=5)
+    rec = catalog.builtin("V16")._replace(genus=5)
     with pytest.warns(UserWarning, match="not 2\\*genus-2"):
         catalog.loads(catalog.dumps(rec))
 

@@ -205,6 +205,36 @@ def test_search_ansatz_with_an_empty_point(tmp_path, capsys):
         assert capsys.readouterr().err == "error: line 1: empty point\n"
 
 
+def test_search_ansatz_with_a_point_in_two_orbits(tmp_path, capsys):
+    twice = tmp_path / "twice.ansatz"
+    twice.write_text("1 0 0 : a : free\n0 1 0 : b : free\n1 0 0 : b : free\n")
+    assert main(["search", "-a", str(twice), "--catalog", "V18", "--prime", "7"]) == 2
+    assert capsys.readouterr().err == "error: line 3: point (1, 0, 0) appears in two orbits\n"
+
+
+def test_operator_with_an_extra_row(tmp_path, capsys):
+    extra = tmp_path / "extra.op"
+    extra.write_text("order 1, tdeg 1\n1 1\n1 0\n0 1\n")
+    assert main(["solve", "-L", str(extra)]) == 2
+    assert capsys.readouterr().err == "error: line 4: expected 2 coefficient rows, got 3\n"
+
+
+@pytest.mark.parametrize("token", ["1e-2", "2E1", "1_0", "\u0663", "1/1e1"])
+def test_rationals_outside_ascii_p_over_q_exit_2_with_a_line(tmp_path, capsys, token):
+    poly = tmp_path / "bad.poly"
+    poly.write_text(f"1 : -1 0 0\n{token} : 1 0 0\n")
+    assert main(["series", "-f", str(poly), "-N", "2"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: bad rational {token!r}\n"
+    series = tmp_path / "bad.series"
+    series.write_text(f"0 1\n1 {token}\n")
+    assert main(["fit", "-s", str(series), "-m", "1", "-r", "0"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: bad rational {token!r}\n"
+    ansatz = tmp_path / "bad.ansatz"
+    ansatz.write_text(f"# dim 3\n1 0 0 : a : fixed {token}\n")
+    assert main(["search", "-a", str(ansatz), "--catalog", "V18", "--prime", "7"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: bad rational {token!r}\n"
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])
@@ -251,11 +281,7 @@ def test_polytope_catalog_self_report_is_clean(capsys):
 
 
 def test_polytope_expect_file_overrides_catalog(tmp_path, capsys):
-    from dataclasses import replace
-
-    rec = replace(
-        catalog.builtin("V16"), name="wrong", degree=60, h0=33, genus=31
-    )
+    rec = catalog.builtin("V16")._replace(name="wrong", degree=60, h0=33, genus=31)
     expect = tmp_path / "wrong.rec"
     expect.write_text(catalog.dumps(rec))
     code = main(["polytope", "--catalog", "V16", "--expect", str(expect)])

@@ -61,6 +61,21 @@ def test_operator_text_round_trip():
         DOperator.from_text("")
 
 
+def test_operator_text_with_extra_rows_fails_at_the_first_extra_row():
+    for text, line in (
+        ("order 1, tdeg 1\n1 1\n1 0\n0 1\n", 4),
+        ("# note\norder 1, tdeg 0\n1 1\n\n2 2\n3 3\n", 5),
+        ("order 1, tdeg 1\n1 1\n1 0\n0 x\n", 4),
+    ):
+        with pytest.raises(ParseError) as info:
+            DOperator.from_text(text)
+        assert info.value.line == line
+    assert str(info.value) == "line 4: expected 2 coefficient rows, got 3"
+    with pytest.raises(ParseError) as info:
+        DOperator.from_text("order 1, tdeg 2\n1 1\n1 0\n")
+    assert str(info.value) == "expected 3 coefficient rows, got 2"
+
+
 def test_scalar_multiple_detection():
     assert L16.is_scalar_multiple(rescale_t(L16, 1))
     tripled = DOperator([[3 * x for x in row] for row in L16.table])

@@ -54,6 +54,24 @@ def test_parse_rational_rejects_decimals():
         parse_rational("x")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("+3", 3), (" -4/6 ", Fraction(-2, 3)), ("007", 7), ("10/5", 2), ("-0", 0),
+])
+def test_parse_rational_accepts_signed_ascii_p_and_p_over_q(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("token", [
+    "1e-2", "1e3", "2E1", "1/1e2", "1_0", "1/1_0", "\u0663", "1/\u0663", "\uff11",
+    "0x10", "1/0", "1/", "/2", "1/-2", "--1", "+", "1 2", "1 / 2", "inf", "nan", "",
+])
+def test_parse_rational_rejects_everything_but_ascii_p_and_p_over_q(token):
+    with pytest.raises(ParseError) as info:
+        parse_rational(token, 7)
+    assert info.value.line == 7
+    assert str(info.value) == f"line 7: bad rational {token!r}"
+
+
 def test_constructor_drops_zero_terms():
     f = LaurentPoly(2, {(1, 0): 0, (0, 1): 3})
     assert len(f) == 1

@@ -1,0 +1,175 @@
+"""The result records are named tuples, and importing the CLI stays cheap.
+
+Every record (FanoRecord, VerificationReport, ClearingReport,
+InvariantReport and the six search records) is a `collections.namedtuple`
+subclass.  Validation and normalisation run in `__new__`, so only the
+records' own `_replace` and `_make` skip them.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from weaklg import catalog
+from weaklg.dseries import VerificationReport, verify_weak_lg
+from weaklg.laurent import ClearingReport, PowerSeries
+from weaklg.polytope import InvariantReport
+from weaklg.search import (
+    CoefficientDomain,
+    OrbitSpec,
+    PrimeStats,
+    SearchConfig,
+    SearchResult,
+    SearchStats,
+)
+
+from test_trace_contract import _spans
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TARGET = PowerSeries([1, 0, 2, 0, 6, 0, 20, 0, 70])
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    script = (
+        "import sys, weaklg.cli;"
+        " print(' '.join(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis',"
+        " 'tokenize') if m in sys.modules)));"
+        " print(' '.join(sorted(m for m in sys.modules if m.startswith('weaklg.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split("\n")
+    assert out[0] == ""
+    # perfbench/spans.py wraps only modules that are already imported
+    loaded = set(out[1].split())
+    for name in ("laurent", "linalg", "polytope", "dseries", "search", "catalog"):
+        assert f"weaklg.{name}" in loaded
+
+
+def test_records_construct_by_position_and_keyword():
+    assert ClearingReport(True, 4, (1, 1, 1)) == ClearingReport(
+        shift=(1, 1, 1), passes=True, cleared_degree=4
+    )
+    stats = SearchStats((PrimeStats(7, 4, 10, ((1, 3),), 3),), 0, 1, 2)
+    assert stats.prime_stats[0].survivor_count == 3
+    assert SearchResult(matches=(), stats=stats).stats is stats
+    assert OrbitSpec("a", ((1, 0),), CoefficientDomain.free()) == OrbitSpec(
+        domain=CoefficientDomain("free"), points=[(1, 0)], label="a"
+    )
+    config = SearchConfig(TARGET, [5, 7], 3, 2, 4, 1)
+    assert config == SearchConfig(target=TARGET, primes=(5, 7), height=3, depth=2,
+                                  verify_depth=4)
+    assert config.primes == (5, 7)
+    report = InvariantReport(True, True, 64, 35, 1, None, None, ())
+    assert report.matches_expected and report.picard_rank == 1
+    v16 = catalog.builtin("V16")
+    assert (v16.derived_operator, v16.known_discrepancy, v16.notes[:6]) == (None, None, "rank-1")
+    assert catalog.FanoRecord("X", 2, 2, 4, 1, v16.operator).notes == ""
+    verdict = verify_weak_lg(v16.model, v16.operator, N=4)
+    assert isinstance(verdict, VerificationReport)
+    assert verdict.confirmed and verdict.quartic == ClearingReport(True, 4, (1, 1, 1))
+    # named tuples also compare equal to plain tuples of their fields
+    assert ClearingReport(True, 4, (1, 1, 1)) == (True, 4, (1, 1, 1))
+
+
+def test_record_reprs_keep_their_form():
+    assert repr(ClearingReport(True, 4, (1, 1, 1))) == (
+        "ClearingReport(passes=True, cleared_degree=4, shift=(1, 1, 1))"
+    )
+    assert repr(OrbitSpec("a", [(1, 0, 0), (0, 1, 0), (1, 0, 0)], CoefficientDomain.free())) == (
+        "OrbitSpec(label='a', points=((0, 1, 0), (1, 0, 0)),"
+        " domain=CoefficientDomain(kind='free', values=()))"
+    )
+    stats = SearchStats((), 0, 1, 2)
+    assert repr(SearchResult((), stats)) == (
+        "SearchResult(matches=(), stats=SearchStats(prime_stats=(),"
+        " residue_combinations=0, lifts_tried=1, exact_matches=2))"
+    )
+    assert repr(PrimeStats(7, 4, 10, ((1, 3),), 3)) == (
+        "PrimeStats(prime=7, depth=4, enumerated=10, survivors_per_level=((1, 3),),"
+        " survivor_count=3)"
+    )
+    assert repr(SearchConfig(TARGET)) == (
+        "SearchConfig(target=PowerSeries([1, 0, 2, 0, ...], order=8), primes=(7,),"
+        " height=6, depth=4, verify_depth=8, threads=1)"
+    )
+    assert repr(InvariantReport(True, True, 64, 35, 1, None, None, ())) == (
+        "InvariantReport(canonical=True, reflexive=True, degree=64, sections=35,"
+        " picard_rank=1, dual_fan_picard_rank=None, mismatches=None, notes=())"
+    )
+    assert repr(catalog.builtin("V16")).startswith(
+        "FanoRecord(name='V16', genus=9, degree=16, h0=11, picard_rank=1,"
+        " operator=DOperator(order=3, t_degree=2), model=LaurentPoly(n=3, terms=20),"
+        " derived_operator=None, known_discrepancy=None, notes="
+    )
+
+
+@pytest.mark.parametrize("record, field", [
+    (ClearingReport(True, 4, (1, 1, 1)), "passes"),
+    (CoefficientDomain.fixed(3), "values"),
+    (SearchConfig(TARGET), "height"),
+    (SearchStats((), 0, 0, 0), "lifts_tried"),
+    (catalog.builtin("V18"), "genus"),
+    (catalog.builtin("V18"), "not_a_field"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoefficientDomain("free", (1,)), "a free domain carries no values"),
+    (lambda: CoefficientDomain("fixed", ()), "a fixed domain needs exactly one value"),
+    (lambda: CoefficientDomain("choice", ()), "a choice domain needs at least one value"),
+    (lambda: CoefficientDomain.choice(1, Fraction(1, 2)), "choice values must be integers"),
+    (lambda: CoefficientDomain("maybe"), "unknown domain kind 'maybe'"),
+    (lambda: OrbitSpec("a", (), CoefficientDomain.free()), "orbit 'a' has no points"),
+    (lambda: SearchConfig(TARGET, primes=()), "at least one prime is required"),
+    (lambda: SearchConfig(TARGET, primes=(5, 5)), "primes must be distinct"),
+    (lambda: SearchConfig(TARGET, primes=(4,)), "4 is not prime"),
+    (lambda: SearchConfig(TARGET, height=0), "height bound must be at least 1"),
+    (lambda: SearchConfig(TARGET, depth=1), "modular depth must be at least 2"),
+    (lambda: SearchConfig(TARGET, depth=5, verify_depth=4),
+     "verification depth must be at least the modular depth"),
+    (lambda: SearchConfig(TARGET, verify_depth=9),
+     "target series order 8 is below the verification depth 9"),
+    (lambda: SearchConfig(PowerSeries([2] + [0] * 8)),
+     "target series must have constant coefficient 1"),
+    (lambda: SearchConfig(TARGET, threads=0), "threads must be at least 1"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_records_normalise_their_fields():
+    fixed = CoefficientDomain.fixed(Fraction(4, 2))
+    assert fixed.values == (2,) and type(fixed.values[0]) is int
+    assert CoefficientDomain.fixed(Fraction(1, 2)).values == (Fraction(1, 2),)
+    assert CoefficientDomain.choice(5, -1, 5, 2).values == (-1, 2, 5)
+    spec = OrbitSpec("s", [[1, 0], (0, 1), (1, 0)], CoefficientDomain.free())
+    assert spec.points == ((0, 1), (1, 0))
+    assert spec.representative == (0, 1)
+    assert SearchConfig(TARGET, primes=[11, 7]).primes == (11, 7)
+
+
+def test_span_counters_read_the_search_result():
+    stats = SearchStats(
+        (PrimeStats(7, 4, 10, ((1, 3),), 3), PrimeStats(11, 4, 20, ((1, 4),), 4)), 12, 5, 2
+    )
+    counts = {name: 0 for name in (
+        "search.enumerated", "search.survivors", "search.lifts_tried", "search.exact_matches"
+    )}
+    _spans()._count("search.search", (), SearchResult((), stats), counts)
+    assert counts == {
+        "search.enumerated": 30,
+        "search.survivors": 7,
+        "search.lifts_tried": 5,
+        "search.exact_matches": 2,
+    }

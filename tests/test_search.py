@@ -152,6 +152,20 @@ def test_ansatz_row_with_an_empty_point_fails_on_its_own_line():
         assert str(info.value) == f"line {line}: empty point"
 
 
+def test_ansatz_point_in_two_orbits_fails_at_its_second_occurrence():
+    for text, line in (
+        ("1 0 0 : a : free\n0 1 0 : b : free\n1 0 0 : b : free\n", 3),
+        ("1 0 0 : a : free\n\n# note\n1 0 0 : b : fixed 2\n", 4),
+    ):
+        with pytest.raises(ParseError) as info:
+            SupportAnsatz.from_text(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: point (1, 0, 0) appears in two orbits"
+    # the same point twice under one label is one point of that orbit
+    again = SupportAnsatz.from_text("1 0 0 : a : free\n1 0 0 : a : free\n")
+    assert again.support() == ((1, 0, 0),)
+
+
 def s3_generators():
     swap01 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
