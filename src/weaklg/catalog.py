@@ -22,8 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dseries import DOperator, solve_series
-from .laurent import LaurentPoly, ParseError
-from . import laurent as _laurent
+from .laurent import LaurentPoly, ParseError, data_lines, parse_ints
 
 
 class FanoRecord(namedtuple(
@@ -332,14 +331,16 @@ def loads(text):
             if line and not line.startswith("#"):
                 raise ParseError("content before the [meta] section", lineno)
             continue
-        sections[current].append((lineno, raw))
+        sections[current].append(raw)
     if "meta" not in sections:
         raise ParseError("missing [meta] section")
+
+    def section_text(name):
+        return "\n".join(sections[name])
+
     meta = {}
-    for lineno, raw in sections["meta"]:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(section_text("meta")):
+        lineno += start_line["meta"]
         key, sep, value = line.partition(":")
         key = key.strip()
         if not sep or key not in _META_KEYS:
@@ -353,15 +354,12 @@ def loads(text):
     numbers = {}
     for key in ("genus", "degree", "h0", "picard-rank"):
         lineno, value = meta[key]
-        try:
-            numbers[key] = int(value)
-        except ValueError:
-            raise ParseError(f"meta key {key!r} must be an integer", lineno) from None
+        number = parse_ints(value)
+        if number is None or len(number) != 1:
+            raise ParseError(f"meta key {key!r} must be an integer", lineno)
+        numbers[key] = number[0]
     if "operator" not in sections:
         raise ParseError("missing [operator] section")
-
-    def section_text(name):
-        return "\n".join(raw for _, raw in sections[name])
 
     def parse_section(name, parser):
         try:
@@ -369,7 +367,7 @@ def loads(text):
         except ParseError as exc:
             offset = start_line[name]
             line = offset + exc.line if exc.line is not None else offset
-            raise ParseError(f"in [{name}]: {exc}", line) from None
+            raise ParseError(f"in [{name}]: {exc.message}", line) from None
 
     operator = parse_section("operator", DOperator.from_text)
     derived = (

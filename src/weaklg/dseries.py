@@ -21,8 +21,10 @@ from .laurent import (
     ParseError,
     PowerSeries,
     constant_term_series,
+    data_lines,
     format_rational,
     normalize_rational,
+    parse_ints,
     parse_rational,
     quartic_compactification_check,
 )
@@ -117,21 +119,16 @@ class DOperator:
     def from_text(cls, text):
         header = None
         rows = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(text):
             if header is None:
                 parts = line.replace(",", " ").split()
                 if len(parts) != 4 or parts[0] != "order" or parts[2] != "tdeg":
                     raise ParseError("expected header 'order m, tdeg r'", lineno)
-                try:
-                    m, r = int(parts[1]), int(parts[3])
-                except ValueError:
-                    raise ParseError("bad header numbers", lineno) from None
-                if m < 0 or r < 0:
+                header = parse_ints(f"{parts[1]} {parts[3]}")
+                if header is None:
+                    raise ParseError("bad header numbers", lineno)
+                if min(header) < 0:
                     raise ParseError("order and tdeg must be nonnegative", lineno)
-                header = (m, r)
                 continue
             if len(rows) > header[1]:
                 raise ParseError(

@@ -28,6 +28,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
+        self.message = message
         self.line = line
 
 
@@ -69,22 +70,73 @@ def parse_rational(text, line=None):
         raise ParseError(f"bad rational {token!r}", line) from None
 
 
-def parse_dim_header(line, lineno):
-    """The n of a '# dim n' comment line, or None for any other comment.
+def data_lines(text, dims=None):
+    """(lineno, stripped line) for each line that is neither blank nor a '#' comment.
 
-    Only a comment whose first word is 'dim' is a header, so a comment such
-    as '# dimension note' stays a comment.
+    With `dims` (a PointDims), the '# dim n' comments go to it on the way.
     """
-    words = line[1:].split()
-    if words[:1] != ["dim"]:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line.startswith("#"):
+            if dims is not None:
+                dims.header(line, lineno)
+        elif line:
+            yield lineno, line
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_ints(field):
+    """The integers of a whitespace-separated field, or None if a token is not ASCII [+-]?[0-9]+.
+
+    `int()` alone would also read `1_0` as 10 and other scripts' digits.
+    """
+    tokens = field.split()
+    if not all(map(_INTEGER.fullmatch, tokens)):
         return None
     try:
-        n = int(" ".join(words[1:]))
-    except ValueError:
-        raise ParseError("bad dimension declaration", lineno) from None
-    if n < 1:
-        raise ParseError("dimension must be positive", lineno)
-    return n
+        return tuple(map(int, tokens))
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return None
+
+
+class PointDims:
+    """The dimension n of a file of integer points, and the check on each row.
+
+    A comment whose first word is 'dim' declares it ('# dim 3'); otherwise
+    the first point row fixes it.  A later row or header that disagrees
+    fails at its own line.
+    """
+
+    def __init__(self):
+        self.n = None
+
+    def header(self, line, lineno):
+        words = line[1:].split()
+        if words[:1] != ["dim"]:
+            return
+        n = parse_ints(" ".join(words[1:]))
+        if n is None or len(n) != 1:
+            raise ParseError("bad dimension declaration", lineno)
+        if n[0] < 1:
+            raise ParseError("dimension must be positive", lineno)
+        if self.n not in (None, n[0]):
+            raise ParseError(f"'# dim {n[0]}' contradicts dimension {self.n}", lineno)
+        self.n = n[0]
+
+    def point(self, field, lineno, what="point"):
+        """The integer point in `field`, checked against n."""
+        point = parse_ints(field)
+        if point is None:
+            raise ParseError(f"bad {what} {field.strip()!r}", lineno)
+        if not point:
+            raise ParseError(f"empty {what}", lineno)
+        if self.n is None:
+            self.n = len(point)
+        if len(point) != self.n:
+            raise ParseError(f"{what} has {len(point)} coordinates, expected {self.n}", lineno)
+        return point
 
 
 def pack_exponents(exps, base):
@@ -300,37 +352,20 @@ class LaurentPoly:
 
     @classmethod
     def from_text(cls, text):
-        declared = None
+        dims = PointDims()
         entries = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                declared = parse_dim_header(line, lineno) or declared
-                continue
+        for lineno, line in data_lines(text, dims):
             left, sep, right = line.partition(":")
             if not sep:
                 raise ParseError("expected '<coefficient> : <exponents>'", lineno)
             coeff = parse_rational(left, lineno)
-            try:
-                exps = tuple(int(tok) for tok in right.split())
-            except ValueError:
-                raise ParseError(f"bad exponent list {right.strip()!r}", lineno) from None
-            if not exps:
-                raise ParseError("missing exponent list", lineno)
-            if declared is None:
-                declared = len(exps)
-            if len(exps) != declared:
-                raise ParseError(
-                    f"exponent vector has length {len(exps)}, expected {declared}", lineno
-                )
+            exps = dims.point(right, lineno, "exponent vector")
             if exps in entries:
                 raise ParseError(f"duplicate exponent vector {exps}", lineno)
             entries[exps] = coeff
-        if declared is None:
+        if dims.n is None:
             raise ParseError("empty input: the zero polynomial needs a '# dim n' line")
-        return cls(declared, entries)
+        return cls(dims.n, entries)
 
 
 class PowerSeries:
@@ -388,27 +423,23 @@ class PowerSeries:
     @classmethod
     def from_text(cls, text):
         entries = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(text):
             parts = line.split(None, 1)
             if len(parts) != 2:
                 raise ParseError("expected '<index> <coefficient>'", lineno)
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise ParseError(f"bad index {parts[0]!r}", lineno) from None
-            if idx in entries:
-                raise ParseError(f"duplicate index {idx}", lineno)
-            entries[idx] = parse_rational(parts[1], lineno)
+            idx = parse_ints(parts[0])
+            if idx is None or idx[0] < 0:
+                raise ParseError(f"bad index {parts[0]!r}", lineno)
+            if idx[0] in entries:
+                raise ParseError(f"duplicate index {idx[0]}", lineno)
+            entries[idx[0]] = parse_rational(parts[1], lineno)
         if not entries:
             raise ParseError("empty series input")
-        top = max(entries)
-        missing = [i for i in range(top + 1) if i not in entries]
-        if missing:
-            raise ParseError(f"missing coefficient for index {missing[0]}")
-        return cls(entries[i] for i in range(top + 1))
+        # len(entries) distinct indices >= 0 fill 0..len-1 or leave a gap there
+        gap = next(i for i in range(len(entries) + 1) if i not in entries)
+        if gap < len(entries):
+            raise ParseError(f"missing coefficient for index {gap}")
+        return cls(entries[i] for i in range(gap))
 
 
 def constant_term_series(f, N):

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .laurent import ParseError, format_rational, normalize_rational
+from .laurent import ParseError, PointDims, data_lines, format_rational, normalize_rational
 
 
 class NotFullDimensional(ValueError):
@@ -189,20 +189,9 @@ def convex_hull(points):
 
 
 def polytope_from_text(text):
-    """Vertex-per-line format: space-separated integers, '#' comments."""
-    pts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            pts.append(tuple(int(tok) for tok in line.split()))
-        except ValueError:
-            raise ParseError(f"bad vertex line {line!r}", lineno) from None
-        if len(pts[-1]) != len(pts[0]):
-            raise ParseError(
-                f"vertex has {len(pts[-1])} coordinates, expected {len(pts[0])}", lineno
-            )
+    """Vertex-per-line format: whitespace-separated integers, '#' comments, optional '# dim n'."""
+    dims = PointDims()
+    pts = [dims.point(line, lineno, "vertex") for lineno, line in data_lines(text, dims)]
     if not pts:
         raise ParseError("no vertices in polytope input")
     return convex_hull(pts)

@@ -27,13 +27,15 @@ from fractions import Fraction
 from .laurent import (
     LaurentPoly,
     ParseError,
+    PointDims,
     PowerSeries,
     constant_term_levels,
     constant_term_series,
+    data_lines,
     format_rational,
     normalize_rational,
     pack_exponents,
-    parse_dim_header,
+    parse_ints,
     parse_rational,
 )
 
@@ -179,31 +181,14 @@ class SupportAnsatz:
 
     @classmethod
     def from_text(cls, text):
-        declared = None
+        dims = PointDims()
         groups = {}
         owners = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                declared = parse_dim_header(line, lineno) or declared
-                continue
+        for lineno, line in data_lines(text, dims):
             parts = [part.strip() for part in line.split(":")]
             if len(parts) != 3:
                 raise ParseError("expected '<point> : <label> : <domain>'", lineno)
-            try:
-                point = tuple(int(tok) for tok in parts[0].split())
-            except ValueError:
-                raise ParseError(f"bad point {parts[0]!r}", lineno) from None
-            if not point:
-                raise ParseError("empty point", lineno)
-            if declared is None:
-                declared = len(point)
-            if len(point) != declared:
-                raise ParseError(
-                    f"point has {len(point)} coordinates, expected {declared}", lineno
-                )
+            point = dims.point(parts[0], lineno)
             label = parts[1]
             if not label:
                 raise ParseError("empty orbit label", lineno)
@@ -222,7 +207,7 @@ class SupportAnsatz:
             OrbitSpec(label, tuple(points), domain)
             for label, (domain, points) in groups.items()
         ]
-        return cls(declared, specs)
+        return cls(dims.n, specs)
 
 
 def _parse_domain(text, lineno):
@@ -240,10 +225,9 @@ def _parse_domain(text, lineno):
     if parts[0] == "choice":
         if len(parts) < 2:
             raise ParseError("'choice' needs at least one value", lineno)
-        try:
-            values = tuple(int(tok) for tok in parts[1:])
-        except ValueError:
-            raise ParseError("choice values must be integers", lineno) from None
+        values = parse_ints(" ".join(parts[1:]))
+        if values is None:
+            raise ParseError("choice values must be integers", lineno)
         return CoefficientDomain.choice(*values)
     raise ParseError(f"unknown domain kind {parts[0]!r}", lineno)
 

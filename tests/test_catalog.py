@@ -194,6 +194,10 @@ def test_loads_rejects_malformed_sections():
         catalog.loads(good + "[meta]\n")
     with pytest.raises(ParseError):
         catalog.loads(good.replace("genus: 9", "genus: nine"))
+    for bad in ("1_0", "\u0663", "9 9", ""):
+        with pytest.raises(ParseError) as info:
+            catalog.loads(good.replace("genus: 9", f"genus: {bad}"))
+        assert str(info.value) == "line 3: meta key 'genus' must be an integer"
     with pytest.raises(ParseError):
         catalog.loads(good.replace("genus: 9", "genus: 9\ngenus: 9"))
     with pytest.raises(ParseError):
@@ -208,6 +212,7 @@ def test_loads_reports_file_level_line_numbers():
     with pytest.raises(ParseError) as info:
         catalog.loads(text)
     assert info.value.line == 9
+    assert str(info.value) == "line 9: in [operator]: bad rational 'bad'"
 
 
 def test_notes_and_model_are_optional():

@@ -235,6 +235,26 @@ def test_rationals_outside_ascii_p_over_q_exit_2_with_a_line(tmp_path, capsys, t
     assert capsys.readouterr().err == f"error: line 2: bad rational {token!r}\n"
 
 
+INTEGER_FIELD_CASES = [
+    ("arabic.poly", "1 : \u0661 0 0\n1 : -1 0 0\n", ["series", "-f"], 1),
+    ("underscore.poly", "1 : 1 0 0\n1 : -1_0 0 0\n", ["series", "-f"], 2),
+    ("choice.ansatz", "1 0 0 : a : choice 1_0 \u0663\n", ["search", "--catalog", "V18", "-a"], 1),
+    ("vertices.txt", "1_0 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n", ["polytope", "-p"], 1),
+    ("header.op", "order \u0663, tdeg 0\n1 2 3 4\n", ["solve", "-L"], 1),
+    ("index.series", "0 1\n\u0661 5\n", ["fit", "-m", "1", "-r", "0", "-s"], 2),
+]
+
+
+@pytest.mark.parametrize("name, text, args, line", INTEGER_FIELD_CASES,
+                         ids=[case[0] for case in INTEGER_FIELD_CASES])
+def test_integers_outside_ascii_digits_exit_2_with_a_line(tmp_path, capsys, name, text, args,
+                                                          line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(args + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,7 +167,11 @@ def test_from_text_rejects_duplicate_exponents():
 def test_from_text_dim_header_is_a_comment_starting_with_the_word_dim():
     assert LaurentPoly.from_text("# dimension note\n2 : 1 -1\n").dimension == 2
     assert LaurentPoly.from_text("# dim 3\n").dimension == 3
-    for text, line in (("1 : 1\n# dim x\n", 2), ("# dim 0\n", 1)):
+    for text, line in (
+        ("1 : 1\n# dim x\n", 2),
+        ("# dim 0\n", 1),
+        ("# dim 3\n1 : 1 0 0\n# dim 2\n", 3),
+    ):
         with pytest.raises(ParseError) as info:
             LaurentPoly.from_text(text)
         assert info.value.line == line
@@ -204,6 +209,13 @@ def test_power_series_from_text_requires_contiguous_indices():
         PowerSeries.from_text("0 1\n2 5\n")
     with pytest.raises(ParseError):
         PowerSeries.from_text("0 1\n1 2\n1 3\n")
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^missing coefficient for index 1$"):
+        PowerSeries.from_text("0 1\n100000000 1\n")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ParseError) as info:
+        PowerSeries.from_text("-1 5\n0 1\n1 3\n")
+    assert str(info.value) == "line 1: bad index '-1'"
 
 
 def test_constant_term_series_of_single_monomial():

@@ -121,7 +121,11 @@ def test_ansatz_dim_header_is_a_comment_starting_with_the_word_dim():
     body = "1 0 : a : free\n"
     assert SupportAnsatz.from_text("# dimension note\n" + body).dimension == 2
     assert SupportAnsatz.from_text("# dim 2\n" + body).dimension == 2
-    for text, line in (("# dim x\n" + body, 1), (body + "# dim 0\n", 2)):
+    for text, line in (
+        ("# dim x\n" + body, 1),
+        (body + "# dim 0\n", 2),
+        ("# dim 3\n1 0 0 : a : free\n# dim 2\n", 3),
+    ):
         with pytest.raises(ParseError) as info:
             SupportAnsatz.from_text(text)
         assert info.value.line == line
