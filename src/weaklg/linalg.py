@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers over the rationals.
 
-Rows are scaled to integers.  `rank` runs fraction-free (Bareiss) elimination;
-`nullspace` works modulo primes and certifies its answer with one exact
-integer product.  Matrices are plain sequences of rows.
+Matrices are plain sequences of rows, scaled to integers.  The one elimination
+is `nullspace`, modulo primes and certified by one exact integer product, and
+`rank` is read off it; Bareiss lives on only as an oracle in tests/corpus.py.
 """
 
 from __future__ import annotations
@@ -24,46 +24,37 @@ def _scaled_integer_rows(rows):
     return out
 
 
-def _echelon(rows):
-    """Fraction-free row echelon form.  Returns (matrix, pivot column list)."""
-    a = [row[:] for row in rows]
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if a[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def rank(rows) -> int:
-    _, pivots = _echelon([r for r in _scaled_integer_rows(rows) if any(r)])
-    return len(pivots)
+    """Exact rank: the certified nullspace leaves no room for an unlucky prime."""
+    return len(rows[0]) - len(nullspace(rows)) if rows else 0
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
+def is_prime(n) -> bool:
+    """Miller-Rabin on the prime bases up to 37, exact below 318665857834031151167461.
+
+    A number at or above that with no factor among the bases raises ValueError.
+    """
+    if not isinstance(n, int) or n < 2:
+        return False
+    if any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is too large to test: primality is exact below {_PRIME_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _BASES)
 
 
 def _primes():
-    """Primes down from 2^61 - 1; Miller-Rabin on 12 prime bases is exact here."""
+    """Primes down from 2^61 - 1."""
     n = (1 << 61) - 1
     while True:
-        s = ((n - 1) & (1 - n)).bit_length() - 1
-        d = (n - 1) >> s
-        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+        if is_prime(n):
             yield n
         n -= 2
 

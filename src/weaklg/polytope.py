@@ -126,6 +126,15 @@ def _hyperplane_normal(points):
     return linalg.primitive(minors)
 
 
+def _rank_at_least(rows, k):
+    """True when some k of the rows have a nonzero k x k minor: rank >= k."""
+    return any(
+        linalg.det([[row[c] for c in cols] for row in chosen])
+        for chosen in itertools.combinations(rows, k)
+        for cols in itertools.combinations(range(len(rows[0])), k)
+    )
+
+
 def convex_hull(points):
     """Exact hull of integer points: vertices plus primitive facet data.
 
@@ -135,6 +144,8 @@ def convex_hull(points):
     replaces those by the cones from the point over their horizon ridges,
     the ridges that only one of the replaced simplices has.  Coplanar
     simplices share one (primitive normal, offset) key, which is the facet.
+    The starting simplex's edges and a vertex's facet normals are tested for
+    independence by minors too: rank >= k exactly when a k x k minor is nonzero.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
@@ -148,7 +159,7 @@ def convex_hull(points):
         if len(directions) == n:
             break
         d = [x - b for x, b in zip(p, base)]
-        if linalg.rank(directions + [d]) > len(directions):
+        if _rank_at_least(directions + [d], len(directions) + 1):
             simplex.append(p)
             directions.append(d)
     if len(directions) < n:
@@ -183,7 +194,7 @@ def convex_hull(points):
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
-        if len(incident) >= n and linalg.rank(incident) == n:
+        if _rank_at_least(incident, n):
             vertices.append(p)
     return LatticePolytope(n, vertices, facet_list)
 
@@ -361,8 +372,7 @@ def picard_rank(P):
                 row[n * i + k] = w[k]
                 row[n * j + k] = -w[k]
             rows.append(row)
-    solution_dim = cols - (linalg.rank(rows) if rows else 0)
-    return solution_dim - n
+    return cols - linalg.rank(rows) - n
 
 
 class InvariantReport(collections.namedtuple(

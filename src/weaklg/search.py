@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import types
 from collections import namedtuple
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .laurent import (
     parse_ints,
     parse_rational,
 )
+from .linalg import is_prime
 
 
 class HeightBoundExceeded(RuntimeError):
@@ -47,12 +47,6 @@ class HeightBoundExceeded(RuntimeError):
     """
 
     stats = None
-
-
-def _is_prime(p):
-    if not isinstance(p, int) or p < 2:
-        return False
-    return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
@@ -300,7 +294,7 @@ class SearchConfig(namedtuple(
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be distinct")
         for p in primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         if height < 1:
             raise ValueError("height bound must be at least 1")
@@ -465,7 +459,7 @@ def search_mod_p(ansatz, target, p, depth=None):
     coefficient domain is integral, that level eliminates everything (an
     integer polynomial has integer constant terms).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if depth is None:
         depth = min(4, target.order)

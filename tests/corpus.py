@@ -116,6 +116,55 @@ def _dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
+def _integer_rows(rows):
+    """Nonzero rows, each scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        if any(row):
+            out.append([int(x * den) for x in row])
+    return out
+
+
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form: (matrix, pivot column list)."""
+    a = [row[:] for row in rows]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rank_bareiss(rows):
+    """Rank by Bareiss elimination: the oracle for `linalg.rank`."""
+    return len(_echelon(_integer_rows(rows))[1])
+
+
+def is_prime_trial(n):
+    """Primality by trial division: the oracle for `linalg.is_prime`."""
+    if not isinstance(n, int) or n < 2:
+        return False
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def nullspace_bareiss(rows, ncols=None):
     """Nullspace by Bareiss elimination and Fraction back-substitution.
 
@@ -127,11 +176,7 @@ def nullspace_bareiss(rows, ncols=None):
         if not rows:
             raise ValueError("ncols is required when no rows are given")
         ncols = len(rows[0])
-    mat = [r for r in linalg._scaled_integer_rows(rows) if any(r)]
-    if mat:
-        ech, pivots = linalg._echelon(mat)
-    else:
-        ech, pivots = [], []
+    ech, pivots = _echelon(_integer_rows(rows))
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_set):
@@ -182,7 +227,7 @@ def hull_bruteforce(points):
         raise ValueError("points have inconsistent dimensions")
     base = pts[0]
     directions = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    spanned = linalg.rank(directions) if directions else 0
+    spanned = rank_bareiss(directions)
     if spanned < n:
         raise NotFullDimensional(
             f"points span a {spanned}-dimensional affine subspace of R^{n}"
@@ -211,7 +256,7 @@ def hull_bruteforce(points):
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
-        if len(incident) >= n and linalg.rank(incident) == n:
+        if len(incident) >= n and rank_bareiss(incident) == n:
             vertices.append(p)
     return LatticePolytope(n, vertices, facet_list)
 
@@ -237,7 +282,7 @@ def picard_rank_all_pairs(P):
                     row[n * i + k] = w[k]
                     row[n * j + k] = -w[k]
                 rows.append(row)
-    return cols - (linalg.rank(rows) if rows else 0) - n
+    return cols - rank_bareiss(rows) - n
 
 
 def corpus(seed, count, **kwargs):

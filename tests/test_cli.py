@@ -262,6 +262,14 @@ def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_search_refuses_a_modulus_beyond_the_primality_bound(tmp_path, capsys):
+    _, series, ansatz = _write_search_inputs(tmp_path, 3)
+    bound = "318665857834031151167461"
+    code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", bound])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bound} is too large to test")
+
+
 def test_search_requires_exactly_one_target_source(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     both = main([

@@ -1,5 +1,6 @@
-"""Cross-checks of the exact linear algebra against sympy and, for the
-multi-modular nullspace, the Bareiss oracle `corpus.nullspace_bareiss`."""
+"""Cross-checks of the exact linear algebra against sympy and the Bareiss
+oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, and of the
+primality test against trial division."""
 
 import itertools
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import nullspace_bareiss
+from corpus import is_prime_trial, nullspace_bareiss, rank_bareiss
 from weaklg import catalog, dseries, linalg
 from weaklg.laurent import constant_term_series
 
@@ -27,7 +28,7 @@ def test_rank_agrees_with_sympy():
     rng = random.Random(11)
     for _ in range(25):
         rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), rational=True)
-        assert linalg.rank(rows) == sympy.Matrix(rows).rank()
+        assert linalg.rank(rows) == sympy.Matrix(rows).rank() == rank_bareiss(rows)
 
 
 def test_rank_of_rank_deficient_matrices():
@@ -35,7 +36,10 @@ def test_rank_of_rank_deficient_matrices():
     for _ in range(10):
         base = random_matrix(rng, 2, 5)
         rows = [base[0], base[1], [a + b for a, b in zip(*base)], [3 * x for x in base[0]]]
-        assert linalg.rank(rows) == sympy.Matrix(rows).rank()
+        assert linalg.rank(rows) == sympy.Matrix(rows).rank() == rank_bareiss(rows)
+    assert linalg.rank([]) == rank_bareiss([]) == 0
+    zeros = [[0, 0, 0], [0, 0, 0]]
+    assert linalg.rank(zeros) == rank_bareiss(zeros) == 0
 
 
 def test_nullspace_vectors_annihilate_and_match_sympy_dimension():
@@ -175,6 +179,24 @@ def test_prime_generator_counts_down_from_the_mersenne_prime():
     assert primes == sorted(primes, reverse=True)
     assert all(sympy.isprime(p) for p in primes)
     assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
+
+
+def test_is_prime_equals_trial_division():
+    carmichael = (561, 1105, 41041)
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7.
+    for n in itertools.chain(range(10**5), carmichael, (3215031751,)):
+        assert linalg.is_prime(n) == is_prime_trial(n), n
+    for value in (True, False, 7.0, "7", None, -7):
+        assert linalg.is_prime(value) is is_prime_trial(value) is False
+    assert linalg.is_prime(P61) and not linalg.is_prime(P61 + 2)
+
+
+def test_is_prime_refuses_numbers_at_its_bound():
+    bound = 318665857834031151167461  # a strong pseudoprime to all 12 bases
+    assert not linalg.is_prime(bound - 1) and not linalg.is_prime(3 * bound)
+    for n in (bound, bound + 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37):
+        with pytest.raises(ValueError, match="too large"):
+            linalg.is_prime(n)
 
 
 def test_prime_losing_rank_forces_row_reselection(monkeypatch):

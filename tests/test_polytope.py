@@ -1,14 +1,16 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from corpus import hull_bruteforce, picard_rank_all_pairs, random_unimodular
+from corpus import hull_bruteforce, picard_rank_all_pairs, random_unimodular, rank_bareiss
 from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
+    _rank_at_least,
     anticanonical_degree,
     anticanonical_sections,
     as_lattice,
@@ -91,6 +93,28 @@ def test_hull_matches_exhaustive_oracle_on_random_sets():
         else:
             full += 1
     assert full > 250 and degenerate > 20
+
+
+def test_rank_at_least_equals_bareiss_rank():
+    rng = random.Random(7)
+    for _ in range(300):
+        ncols = rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        for k in range(1, ncols + 1):
+            assert _rank_at_least(rows, k) == (rank_bareiss(rows) >= k), (rows, k)
+
+
+def test_hull_skips_a_point_on_n_facets_with_dependent_normals():
+    """In dimension 4, (1, 1, 0, 0) on the boundary of |x|_1 <= 2 lies on four
+    facets whose normals have rank 3, so it is on n facets but no vertex."""
+    points = [p for p in itertools.product(range(-2, 3), repeat=4) if sum(map(abs, p)) <= 2]
+    assert len(points) == 41
+    P = convex_hull(points)
+    axes = {tuple(s * 2 * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)}
+    assert set(P.vertices) == axes
+    assert len(P.facets) == 16
+    incident = [a for a, c in P.facets if sum(x * y for x, y in zip(a, (1, 1, 0, 0))) == c]
+    assert len(incident) == 4 and rank_bareiss(incident) == 3
 
 
 def _gl3z_invariants(P):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,15 @@ def test_orbits_close_without_explicit_inverses():
 def test_orbits_reject_non_preserving_generator():
     with pytest.raises(ValueError):
         orbits([(1, 0), (0, 1)], [((1, 1), (0, 1))])
+
+
+def test_search_config_accepts_a_61_bit_prime_at_once():
+    t = target_for(planted_1d(3))
+    start = time.perf_counter()
+    assert SearchConfig(target=t, primes=(2**61 - 1,)).primes == (2**61 - 1,)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="is not prime"):
+        SearchConfig(target=t, primes=(2**61 + 1,))
 
 
 def test_search_config_validation():
