@@ -50,13 +50,20 @@ def is_prime(n) -> bool:
                for a in _BASES)
 
 
+_PRIMES = []
+
+
 def _primes():
-    """Primes down from 2^61 - 1."""
-    n = (1 << 61) - 1
+    """Primes down from 2^61 - 1; each is tested once and kept in _PRIMES."""
+    i = 0
     while True:
-        if is_prime(n):
-            yield n
-        n -= 2
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
+            while not is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+        i += 1
 
 
 def _rref_mod(rows, ncols, p):

@@ -5,8 +5,8 @@ construction in integer arithmetic: facet normals are signed minors of
 difference vectors, so no rational arithmetic enters.  Facets are stored as
 (primitive integer normal a, offset c) with the polytope on the side
 <a, x> <= c; when the origin is strictly interior every offset is positive
-and the polar dual has vertices -a/c.  The face-structure invariants
-(volume, Picard rank) are implemented for dimension at most 3.
+and the polar dual has vertices -a/c.  The hull's boundary triangulation
+also gives the volume, so every invariant works in any dimension.
 """
 
 from __future__ import annotations
@@ -135,24 +135,19 @@ def _rank_at_least(rows, k):
     )
 
 
-def convex_hull(points):
-    """Exact hull of integer points: vertices plus primitive facet data.
+def _boundary(pts):
+    """Beneath-beyond over distinct integer points: (boundary, inside).
 
-    Beneath-beyond: the boundary is kept as a list of (n-1)-simplices, each
-    with its supporting hyperplane oriented away from the centroid of a
-    starting full-dimensional simplex.  A point strictly beyond some of them
-    replaces those by the cones from the point over their horizon ridges,
-    the ridges that only one of the replaced simplices has.  Coplanar
-    simplices share one (primitive normal, offset) key, which is the facet.
-    The starting simplex's edges and a vertex's facet normals are tested for
-    independence by minors too: rank >= k exactly when a k x k minor is nonzero.
+    The boundary is a list of (normal, offset, simplex) triples, the simplices
+    triangulating the hull's boundary, each with its supporting hyperplane
+    oriented away from `inside`, n + 1 times the centroid of the starting
+    full-dimensional simplex.  A point strictly beyond some of them replaces
+    those by the cones from the point over their horizon ridges, the ridges
+    that only one of the replaced simplices has.  The starting simplex's
+    edges are tested for independence by minors: rank >= k exactly when a
+    k x k minor is nonzero.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if not pts:
-        raise ValueError("convex hull of an empty point set")
     n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise ValueError("points have inconsistent dimensions")
     base = pts[0]
     simplex, directions = [base], []
     for p in pts[1:]:
@@ -190,7 +185,23 @@ def convex_hull(points):
         )
         kept.extend(cone(r + (p,)) for r, k in ridges.items() if k == 1)
         boundary = kept
-    facet_list = sorted({(a, c) for a, c, _ in boundary})
+    return boundary, inside
+
+
+def convex_hull(points):
+    """Exact hull of integer points: vertices plus primitive facet data.
+
+    The boundary simplices of `_boundary` that are coplanar share one
+    (primitive normal, offset) key, which is the facet.  A point is a vertex
+    when the normals of the facets through it have rank n, a nonzero n x n minor.
+    """
+    pts = sorted({tuple(int(x) for x in p) for p in points})
+    if not pts:
+        raise ValueError("convex hull of an empty point set")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("points have inconsistent dimensions")
+    facet_list = sorted({(a, c) for a, c, _ in _boundary(pts)[0]})
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
@@ -273,54 +284,25 @@ def as_lattice(Q):
 
 def is_reflexive(P):
     """True when every vertex of the polar dual is a lattice point."""
-    _require_origin_interior(P)
-    for a, c in P.facets:
-        if any(not isinstance(normalize_rational(Fraction(-ai) / c), int) for ai in a):
-            return False
-    return True
-
-
-def _facet_edges(P, facet, table):
-    """Vertex pairs of `facet` shared with another facet: the polygon edges."""
-    mine = set(table[facet])
-    edges = set()
-    for other in P.facets:
-        if other == facet:
-            continue
-        shared = mine.intersection(table[other])
-        if len(shared) == 2:
-            edges.add(tuple(sorted(shared)))
-    return sorted(edges)
-
-
-def _volume(P, apex_position):
-    n = P.dimension
-    if n > 3:
-        raise NotImplementedError("volume is implemented for dimension <= 3")
-    table = {facet: P.facet_vertices(facet) for facet in P.facets}
-    z = P.vertices[0]
-    total = Fraction(0)
-    for facet in P.facets:
-        verts = table[facet]
-        if n < 3:
-            simplices = [verts]
-        else:
-            apex = verts[apex_position]
-            simplices = [
-                (apex, u, v)
-                for u, v in _facet_edges(P, facet, table)
-                if apex != u and apex != v
-            ]
-        for simplex in simplices:
-            rows = [[x - y for x, y in zip(w, z)] for w in simplex]
-            d = linalg.det(rows)
-            total += abs(Fraction(d))
-    return total / math.factorial(n)
+    return dual(P).is_integral()
 
 
 def volume(P):
-    """Exact Euclidean volume, by coning facet triangulations over a vertex."""
-    return normalize_rational(_volume(P, 0))
+    """Exact Euclidean volume in any dimension, from `_boundary`'s triangulation.
+
+    The vertices are scaled by the lcm L of their denominators.  Each boundary
+    simplex of the scaled hull, coned over the centroid inside / (n + 1), is a
+    simplex of volume |det((n + 1) v - inside)| / ((n + 1)^n n!) over its
+    vertices v, and the scaling multiplies the volume by L^n.
+    """
+    n = P.dimension
+    L = math.lcm(*(x.denominator for v in P.vertices for x in v))
+    boundary, inside = _boundary([tuple(int(x * L) for x in v) for v in P.vertices])
+    total = sum(
+        abs(linalg.det([[(n + 1) * x - y for x, y in zip(v, inside)] for v in verts]))
+        for _, _, verts in boundary
+    )
+    return normalize_rational(Fraction(total, (n + 1) ** n * math.factorial(n) * L**n))
 
 
 def anticanonical_degree(P):
@@ -329,8 +311,7 @@ def anticanonical_degree(P):
     Normalized so the simplex conv{e1, e2, e3, -(1,1,1)} gets 64, matching
     the cube (-K)^3 of projective 3-space.
     """
-    _require_origin_interior(P)
-    return normalize_rational(math.factorial(P.dimension) * _volume(dual(P), 0))
+    return normalize_rational(math.factorial(P.dimension) * volume(dual(P)))
 
 
 def anticanonical_sections(P):
@@ -353,8 +334,6 @@ def picard_rank(P):
     rank 5.
     """
     n = P.dimension
-    if n > 3:
-        raise NotImplementedError("picard_rank is implemented for dimension <= 3")
     _require_origin_interior(P)
     if not P.is_integral():
         raise ValueError("picard_rank expects a lattice polytope")
@@ -450,7 +429,9 @@ def invariant_report(P, expected=None):
     dual_rank = None
     notes = []
     if reflexive:
-        dual_rank = picard_rank(as_lattice(dual(P)))
+        # A reflexive P has primitive vertices, so its dual already carries
+        # the integral vertices and primitive, offset-1 facets of a lattice hull.
+        dual_rank = picard_rank(dual(P))
         if dual_rank != rank_value:
             notes.append(
                 "face fans over the polytope and over its dual give different"

@@ -261,13 +261,57 @@ def hull_bruteforce(points):
     return LatticePolytope(n, vertices, facet_list)
 
 
+def _facet_edges(P, facet, table):
+    """Vertex pairs of `facet` shared with another facet: the polygon edges."""
+    mine = set(table[facet])
+    edges = set()
+    for other in P.facets:
+        if other == facet:
+            continue
+        shared = mine.intersection(table[other])
+        if len(shared) == 2:
+            edges.add(tuple(sorted(shared)))
+    return sorted(edges)
+
+
+def volume_by_facet_cones(P):
+    """Volume by coning each facet's triangulation over the vertex z, n <= 3.
+
+    A facet of a 3-polytope is fanned from its first vertex over its polygon
+    edges, the vertex pairs it shares with another facet; in lower dimension
+    a facet is already a simplex.  The oracle for `polytope.volume`, which
+    reads the triangulation off the beneath-beyond boundary instead.
+    """
+    n = P.dimension
+    if n > 3:
+        raise ValueError("volume_by_facet_cones is implemented for dimension <= 3")
+    table = {facet: P.facet_vertices(facet) for facet in P.facets}
+    z = P.vertices[0]
+    total = Fraction(0)
+    for facet in P.facets:
+        verts = table[facet]
+        if n < 3:
+            simplices = [verts]
+        else:
+            apex = verts[0]
+            simplices = [
+                (apex, u, v)
+                for u, v in _facet_edges(P, facet, table)
+                if apex != u and apex != v
+            ]
+        for simplex in simplices:
+            rows = [[x - y for x, y in zip(w, z)] for w in simplex]
+            total += abs(Fraction(linalg.det(rows)))
+    return total / math.factorial(n)
+
+
 def picard_rank_all_pairs(P):
     """Picard rank of the face fan with every pair of cones made to agree.
 
     One row per (facet pair, shared vertex), so a vertex on k facets gives
     k(k-1)/2 rows where the library's chain gives k - 1; equality is
-    transitive, so the solution space is the same.  Lattice polytopes of
-    dimension <= 3 with the origin in the interior only.
+    transitive, so the solution space is the same.  Lattice polytopes with
+    the origin in the interior only, in any dimension.
     """
     n = P.dimension
     facets = P.facets

@@ -291,6 +291,26 @@ def test_polytope_from_vertex_file(tmp_path, capsys):
     assert "picard-rank-dual-fan: 1" in out
 
 
+def test_polytope_from_a_four_dimensional_vertex_file(tmp_path, capsys):
+    """The 4-D cross-polytope: its face fan is that of (P^1)^4."""
+    axes = [[s * int(i == j) for j in range(4)] for i in range(4) for s in (1, -1)]
+    verts = tmp_path / "cross4.verts"
+    verts.write_text("".join(" ".join(map(str, v)) + "\n" for v in axes))
+    assert main(["polytope", "-p", str(verts)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "canonical: true\n"
+        "reflexive: true\n"
+        "degree: 384\n"
+        "sections: 81\n"
+        "picard-rank: 4\n"
+        "picard-rank-dual-fan: 1\n"
+        "note: face fans over the polytope and over its dual give different"
+        " picard ranks (4 vs 1); both are reported\n"
+    )
+
+
 def test_polytope_catalog_expectations_can_mismatch(tmp_path, capsys):
     poly = tmp_path / "p3.poly"
     poly.write_text(catalog.builtin("P3-sample").model.to_text())

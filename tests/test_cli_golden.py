@@ -51,6 +51,11 @@ def _write_inputs(directory):
     for seed, size in ((1, 12), (2, 18), (3, 24)):
         files[f"pts{seed}.vert"] = _point_set(seed, size)
     files["ragged.vert"] = "1 0 0\n0 1\n"
+    files["polygon.vert"] = "2 0\n0 1\n-1 1\n-1 -1\n1 -1\n"
+    files["hexagon.vert"] = "1 0\n0 1\n-1 1\n-1 0\n0 -1\n1 -1\n"
+    files["segment.vert"] = "# dim 1\n-1\n3\n"
+    # Canonical but not reflexive: the dual has vertices such as (-1, -1, 1/2).
+    files["fractional.vert"] = "1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n1 1 2\n"
     toy = LaurentPoly(1, {(1,): 1, (-1,): 3})
     files["toy.series"] = constant_term_series(toy, 8).to_text()
     files["toy.ansatz"] = "# dim 1\n1 : apex : fixed 1\n-1 : tail : free\n"
@@ -79,6 +84,10 @@ COMMANDS = {
     "polytope-pts2": ["polytope", "-p", "pts2.vert", "--pretty"],
     "polytope-pts3": ["polytope", "-p", "pts3.vert"],
     "polytope-expect-mismatch": ["polytope", "-f", "V22.poly", "--expect", "V16.rec"],
+    "polytope-polygon": ["polytope", "-p", "polygon.vert"],
+    "polytope-hexagon-pretty": ["polytope", "-p", "hexagon.vert", "--pretty"],
+    "polytope-segment": ["polytope", "-p", "segment.vert"],
+    "polytope-fractional-dual": ["polytope", "-p", "fractional.vert"],
     "fit-V16": ["fit", "-s", "V16.series", "-m", "3", "-r", "2"],
     "fit-V22": ["fit", "-s", "V22.series", "-m", "3", "-r", "4"],
     "series-V18": ["series", "-f", "V18.poly", "-N", "12"],
@@ -102,8 +111,10 @@ def _digest(text):
 
 EMPTY = _digest("")
 
-# Recorded before the elimination in `linalg` was unified; name: (exit code,
-# sha256 of stdout, sha256 of stderr).
+# Recorded before the elimination in `linalg` was unified, and the polygon,
+# hexagon, segment and fractional-dual rows before the volume moved onto the
+# hull's boundary triangulation; name: (exit code, sha256 of stdout, sha256 of
+# stderr).
 GOLDEN = {
     "catalog-list": (0, "405b952b2a14d823ed71ab3269ffc4e6d3049bb7aad191d012cdcc88c6ec1822", EMPTY),
     "catalog-show-V16": (0, "1dc37f7ac9e828a985a4ddf020905a8a6fc5253855e60c022e8ffa0c04a1d7d9", EMPTY),
@@ -122,6 +133,10 @@ GOLDEN = {
     "polytope-pts2": (0, "f54646f1f8537af74423ecfeb7c2d167669d17c78cc322538c909b64e337c7bc", EMPTY),
     "polytope-pts3": (0, "ebbbf60c96560af2fc1b48a5e752912c2f8de675ddc139f24a42ef02186319b0", EMPTY),
     "polytope-expect-mismatch": (3, "1d8beaaeee207b0c53380204539dac9317c1f3a74538d1ecca4e8b52712d04b6", EMPTY),
+    "polytope-polygon": (0, "b64b75ccf089a08a074f4d787cfa9099f5d3c6f0617b391a730c481545aa5070", EMPTY),
+    "polytope-hexagon-pretty": (0, "4d4a9c6c3cae1d90a239e4a6867114e47fb21802c772d6c1fab9953c69129a60", EMPTY),
+    "polytope-segment": (0, "5d4c504af28a88f403b44578ab0d78e41b48cd39f7edb86d087ab82e94aff9a3", EMPTY),
+    "polytope-fractional-dual": (0, "49879fb3c021aa5cd534b670d671b861c6adf18e07be44840e16b16f76b11aca", EMPTY),
     "fit-V16": (0, "c58aeb0db438e79c0de97228860e5916779de38856fede9c6ab0d83286fae9e7", EMPTY),
     "fit-V22": (0, "f29772d207f4d997d505d2091e5ef4536a437b0dd6125e6d8f7db2ef4604a0d6", EMPTY),
     "series-V18": (0, "88f3075e5cd1d2b5f7822c9cf3b24eb0babb9349204f8eb42bc4adc7af743eec", EMPTY),

@@ -181,6 +181,20 @@ def test_prime_generator_counts_down_from_the_mersenne_prime():
     assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
 
 
+def test_primes_once_found_are_not_tested_again(monkeypatch):
+    rows = [[P61, 1]]  # needs several primes, so the list is extended
+    first = linalg.nullspace(rows)
+    tested = []
+    real = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or real(n))
+    assert linalg.nullspace(rows) == first
+    assert tested == []
+    known = len(linalg._PRIMES)
+    primes = list(itertools.islice(linalg._primes(), known + 1))
+    assert primes[:known] == linalg._PRIMES[:known] and tested
+    assert min(tested) == primes[-1] and max(tested) < primes[-2]
+
+
 def test_is_prime_equals_trial_division():
     carmichael = (561, 1105, 41041)
     # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7.

@@ -1,12 +1,19 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from corpus import hull_bruteforce, picard_rank_all_pairs, random_unimodular, rank_bareiss
+from corpus import (
+    hull_bruteforce,
+    picard_rank_all_pairs,
+    random_unimodular,
+    rank_bareiss,
+    volume_by_facet_cones,
+)
 from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
@@ -41,6 +48,10 @@ def octahedron():
 
 def cube():
     return convex_hull([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+
+
+def _cross_polytope(n):
+    return convex_hull([tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
 
 
 def test_hull_discards_interior_and_duplicate_points():
@@ -251,6 +262,65 @@ def test_volumes():
     assert volume(unit) == Fraction(1, 6)
     square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert volume(square) == 1
+    hypercube = convex_hull(list(itertools.product((-1, 1), repeat=4)))
+    assert volume(hypercube) == 16
+    assert volume(_cross_polytope(4)) == volume(dual(hypercube)) == Fraction(2, 3)
+
+
+def _seeded_point_sets(seed, n, count, size):
+    """Hulls of `count` seeded full-dimensional sets of up to `size` points of [-2,2]^n."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, size))]
+        try:
+            out.append(convex_hull(pts))
+        except NotFullDimensional:
+            pass
+    return out
+
+
+def test_volume_and_degree_equal_the_facet_cone_oracle():
+    corpus = [P for pair in _gl3z_corpus() for P in pair]
+    duals = [dual(P) for P in corpus]
+    assert sum(not D.is_integral() for D in duals) > 50
+    seeded = [P for n in (1, 2, 3) for P in _seeded_point_sets(n, n, 40, 4 * n + 2)]
+    for P in corpus + duals + seeded:
+        assert volume(P) == volume_by_facet_cones(P), P.vertices
+    for P in corpus:
+        want = math.factorial(3) * volume_by_facet_cones(dual(P))
+        assert anticanonical_degree(P) == want, P.vertices
+
+
+def _image(U, P):
+    return convex_hull([tuple(sum(u * x for u, x in zip(row, v)) for row in U) for v in P.vertices])
+
+
+def test_volume_in_dimension_four_is_unimodular_invariant_and_scales_by_k4():
+    rng = random.Random(44)
+    for P in _seeded_point_sets(404, 4, 20, 10):
+        v = volume(P)
+        assert v > 0
+        assert volume(_image(random_unimodular(rng, n=4), P)) == v
+        k = rng.randint(2, 3)
+        assert volume(convex_hull([tuple(k * x for x in p) for p in P.vertices])) == k**4 * v
+
+
+def test_projective_four_space_simplex():
+    P = convex_hull([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)])
+    report = invariant_report(P)
+    assert report.reflexive and report.canonical
+    assert (report.degree, report.sections, report.picard_rank) == (625, 126, 1)
+    assert report.dual_fan_picard_rank == 1
+
+
+def test_dual_fan_rank_needs_no_second_hull_of_a_reflexive_dual():
+    reflexive = [P for pair in _gl3z_corpus() for P in pair if is_reflexive(P)]
+    assert len(reflexive) > 10
+    for P in reflexive:
+        assert dual(P) == as_lattice(dual(P))
+        want = picard_rank(as_lattice(dual(P)))
+        assert invariant_report(P).dual_fan_picard_rank == want
 
 
 def test_degree_and_sections_anchors():
@@ -280,6 +350,12 @@ def test_picard_rank_chain_matches_all_pairs_oracle():
     polytopes += [P for P, _ in _gl3z_corpus()]
     polytopes += [as_lattice(dual(P)) for P in polytopes if is_reflexive(P)]
     assert len(polytopes) > 106
+    cross = _cross_polytope(4)
+    polytopes.append(cross)
+    rng = random.Random(4004)
+    for _ in range(6):
+        extra = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(rng.randint(1, 4))]
+        polytopes.append(convex_hull(list(cross.vertices) + extra))
     for P in polytopes:
         assert picard_rank(P) == picard_rank_all_pairs(P)
 
