@@ -2,7 +2,8 @@
 
 Matrices are plain sequences of rows, scaled to integers.  The one elimination
 is `nullspace`, modulo primes and certified by one exact integer product, and
-`rank` is read off it; Bareiss lives on only as an oracle in tests/corpus.py.
+`rank` is read off it; Bareiss serves only `det` above 4x4, and as oracles in
+tests/corpus.py.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def nullspace(rows, ncols=None):
 
 
 def det(matrix):
-    """Exact determinant by cofactor expansion (meant for n <= 4)."""
+    """Exact determinant: cofactor expansion up to 4x4, fraction-free Bareiss above."""
     m = [list(r) for r in matrix]
     k = len(m)
     if k == 0:
@@ -167,6 +168,8 @@ def det(matrix):
         return m[0][0]
     if k == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if k > 4:
+        return _det_bareiss(m)
     total = 0
     for j in range(k):
         if m[0][j]:
@@ -174,6 +177,27 @@ def det(matrix):
             sub = det(minor)
             total += m[0][j] * sub if j % 2 == 0 else -m[0][j] * sub
     return total
+
+
+def _det_bareiss(m):
+    """Bareiss (1968) on the matrix scaled to integers: every division is exact,
+    so k^3 steps on entries no larger than a k x k minor replace k! cofactors."""
+    den = math.lcm(*(x.denominator for row in m for x in row if isinstance(x, Fraction)))
+    a = [[int(x * den) for x in row] for row in m]
+    k, sign, prev = len(a), 1, 1
+    for c in range(k - 1):
+        r = next((i for i in range(c, k) if a[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r], sign = a[r], a[c], -sign
+        top, pivot = a[c], a[c][c]
+        for row in a[c + 1 :]:
+            f = row[c]
+            row[c + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
+        prev = pivot
+    d = sign * a[-1][-1]
+    return d if den == 1 else Fraction(d, den**k)
 
 
 def primitive(vec):

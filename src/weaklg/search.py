@@ -443,10 +443,16 @@ def _assignment_plan(ansatz, p, depth):
     for k in order:
         spec = undetermined[k][1]
         if spec.domain.kind == "free":
-            domains.append(tuple(range(p)))
+            domains.append(range(p))
         else:
             domains.append(tuple(sorted({v % p for v in spec.domain.values})))
     return undetermined, order, domains, levels
+
+
+# Partial assignments search_mod_p may hold at once: a bound on its memory.
+# The all-free V16 search at p = 13, depth 6 enumerates 61880 in all and
+# holds at most 30758.
+MAX_PARTIAL_ASSIGNMENTS = 1_000_000
 
 
 def search_mod_p(ansatz, target, p, depth=None):
@@ -457,7 +463,8 @@ def search_mod_p(ansatz, target, p, depth=None):
     r, evaluating the level polynomial phi(r) mod p on each partial
     assignment; when the target has a non-integral coefficient and every
     coefficient domain is integral, that level eliminates everything (an
-    integer polynomial has integer constant terms).
+    integer polynomial has integer constant terms).  An extension past
+    MAX_PARTIAL_ASSIGNMENTS partial assignments raises ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -505,6 +512,13 @@ def search_mod_p(ansatz, target, p, depth=None):
         )
         while assigned < need:
             domain = domains[assigned]
+            # len() of a range stops at sys.maxsize, below some primes is_prime accepts
+            count = len(partials) * (p if isinstance(domain, range) else len(domain))
+            if count > MAX_PARTIAL_ASSIGNMENTS:
+                raise ValueError(
+                    f"level {r} would hold {count} partial assignments modulo {p},"
+                    f" more than the {MAX_PARTIAL_ASSIGNMENTS} a search may hold"
+                )
             partials = [part + (v,) for part in partials for v in domain]
             enumerated += len(partials)
             assigned += 1

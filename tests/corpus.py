@@ -153,6 +153,19 @@ def _echelon(rows):
     return a, pivots
 
 
+def det_leibniz(m):
+    """Sum over permutations of sign times product: the oracle for `linalg.det`."""
+    k = len(m)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(m, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
 def rank_bareiss(rows):
     """Rank by Bareiss elimination: the oracle for `linalg.rank`."""
     return len(_echelon(_integer_rows(rows))[1])

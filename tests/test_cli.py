@@ -270,6 +270,16 @@ def test_search_refuses_a_modulus_beyond_the_primality_bound(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bound} is too large to test")
 
 
+@pytest.mark.parametrize("prime", [2**61 - 1, 2**64 - 59])
+def test_search_refuses_more_partial_assignments_than_it_may_hold(tmp_path, capsys, prime):
+    _, series, ansatz = _write_search_inputs(tmp_path, 3)
+    code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", str(prime)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: level 2 would hold {prime} partial assignments")
+    assert "more than the 1000000 a search may hold" in err
+
+
 def test_search_requires_exactly_one_target_source(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     both = main([
@@ -309,6 +319,18 @@ def test_polytope_from_a_four_dimensional_vertex_file(tmp_path, capsys):
         "note: face fans over the polytope and over its dual give different"
         " picard ranks (4 vs 1); both are reported\n"
     )
+
+
+def test_polytope_from_a_six_dimensional_vertex_file(tmp_path, capsys):
+    """The 6-D cross-polytope, whose hull needs 5x5 and 6x6 determinants."""
+    axes = [[s * int(i == j) for j in range(6)] for i in range(6) for s in (1, -1)]
+    verts = tmp_path / "cross6.verts"
+    verts.write_text("".join(" ".join(map(str, v)) + "\n" for v in axes))
+    assert main(["polytope", "-p", str(verts)]) == 0
+    out = capsys.readouterr().out
+    assert "degree: 46080\n" in out
+    assert "sections: 729\n" in out
+    assert "picard-rank: 6\n" in out
 
 
 def test_polytope_catalog_expectations_can_mismatch(tmp_path, capsys):

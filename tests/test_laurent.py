@@ -1,5 +1,7 @@
+import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,12 +14,16 @@ from weaklg.laurent import (
     constant_term_series,
     constant_term_series_mitm,
     format_rational,
+    multiply_term_maps,
     normalize_rational,
+    pack_exponents,
     parse_rational,
     quartic_compactification_check,
     resize,
     substitute_monomial,
 )
+
+from weaklg import catalog
 
 from corpus import (
     multiply_bruteforce,
@@ -228,6 +234,64 @@ def test_constant_term_series_quartic_simplex():
     f = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
     phi = constant_term_series(f, 8)
     assert list(phi) == [1, 0, 0, 0, 24, 0, 0, 0, 2520]
+
+
+def test_multiply_term_maps_leaves_no_cancelled_term():
+    # zeros never change a sum, so only the map itself shows a stray one
+    assert multiply_term_maps({1: 1, -1: -1}, {1: 1, -1: 1}) == {2: 1, -2: -1}
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_memory_holds_two_consecutive_powers():
+    """The depth-30 series peaks near f^14 plus f^15, not at every power of f.
+
+    The last product alone allocates f^15; keeping f^0..f^15 alive costs
+    about 3.6 times that, two powers about 1.9 times.
+    """
+    f = catalog.builtin("V16").model
+    base = 2 * max(abs(x) for exps in f.term_map() for x in exps) * 15 + 1
+    packed = {pack_exponents(exps, base): c for exps, c in f.term_map().items()}
+    f14 = {0: 1}
+    for _ in range(14):
+        f14 = multiply_term_maps(f14, packed)
+    product_peak = _traced_peak(multiply_term_maps, f14, packed)
+    del f14
+    series_peak = _traced_peak(constant_term_series, f, 30)
+    assert series_peak <= 2.5 * product_peak, (series_peak, product_peak)
+
+
+def _apery(n):
+    return sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
+
+
+def test_series_match_closed_forms_at_depths_beyond_bruteforce():
+    """Straub's model of the Apery numbers through N=30 and the quartic
+    simplex through N=40, also after a random unimodular relabeling."""
+    straub = (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+              * LaurentPoly(3, {(0, 0, 1): 1, (0, 0, 0): 1})
+              * LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+              * LaurentPoly(3, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+              * LaurentPoly.monomial(3, (-1, -1, -1)))
+    simplex = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
+    cases = [
+        (straub, [_apery(n) for n in range(31)]),
+        (simplex, [math.factorial(n) // math.factorial(n // 4) ** 4 if n % 4 == 0 else 0
+                   for n in range(41)]),
+    ]
+    rng = random.Random(37)
+    for f, want in cases:
+        N = len(want) - 1
+        assert list(constant_term_series(f, N)) == want
+        g = substitute_monomial(f, random_unimodular(rng))
+        assert list(constant_term_series(g, N)) == want
 
 
 def test_series_against_bruteforce_convolution():

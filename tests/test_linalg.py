@@ -1,6 +1,6 @@
 """Cross-checks of the exact linear algebra against sympy and the Bareiss
-oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, and of the
-primality test against trial division."""
+oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of `det`
+against the Leibniz formula, and of the primality test against trial division."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import is_prime_trial, nullspace_bareiss, rank_bareiss
+from corpus import det_leibniz, is_prime_trial, nullspace_bareiss, rank_bareiss
 from weaklg import catalog, dseries, linalg
 from weaklg.laurent import constant_term_series
 
@@ -74,6 +74,22 @@ def test_det_agrees_with_sympy():
     assert linalg.det([]) == 1
     with pytest.raises(ValueError):
         linalg.det([[1, 2]])
+
+
+def test_det_above_four_by_four_agrees_with_leibniz():
+    """Bareiss from 5x5 up, with zero pivots, dependent rows and rational entries."""
+    rng = random.Random(43)
+    for k in (5, 6, 7):
+        for trial in range(4):
+            m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            if trial == 1:
+                m[0][0] = m[1][0] = 0  # a row swap on the first pivot
+            if trial == 2:
+                m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]
+            assert linalg.det(m) == det_leibniz(m)
+        assert linalg.det([[0] * k] + m[1:]) == 0
+    m = random_matrix(rng, 5, 5, rational=True)
+    assert linalg.det(m) == det_leibniz([[Fraction(x) for x in row] for row in m])
 
 
 def test_primitive_vectors():
