@@ -2,7 +2,7 @@
 
 Matrices are plain sequences of rows, scaled to integers.  The one elimination
 is `nullspace`, modulo primes and certified by one exact integer product, and
-`rank` is read off it; Bareiss serves only `det` above 4x4, and as oracles in
+`rank` is read off it; Bareiss serves `det` above 2x2, and as oracles in
 tests/corpus.py.
 """
 
@@ -157,7 +157,10 @@ def nullspace(rows, ncols=None):
 
 
 def det(matrix):
-    """Exact determinant: cofactor expansion up to 4x4, fraction-free Bareiss above."""
+    """Exact determinant: the 2x2 formula, and fraction-free Bareiss (1968)
+    above it on the matrix scaled to integers.  Every division is exact, so
+    k^3 steps on entries no larger than a k x k minor replace the k! terms of
+    a cofactor expansion."""
     m = [list(r) for r in matrix]
     k = len(m)
     if k == 0:
@@ -168,23 +171,9 @@ def det(matrix):
         return m[0][0]
     if k == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if k > 4:
-        return _det_bareiss(m)
-    total = 0
-    for j in range(k):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            sub = det(minor)
-            total += m[0][j] * sub if j % 2 == 0 else -m[0][j] * sub
-    return total
-
-
-def _det_bareiss(m):
-    """Bareiss (1968) on the matrix scaled to integers: every division is exact,
-    so k^3 steps on entries no larger than a k x k minor replace k! cofactors."""
     den = math.lcm(*(x.denominator for row in m for x in row if isinstance(x, Fraction)))
     a = [[int(x * den) for x in row] for row in m]
-    k, sign, prev = len(a), 1, 1
+    sign, prev = 1, 1
     for c in range(k - 1):
         r = next((i for i in range(c, k) if a[i][c]), None)
         if r is None:

@@ -450,8 +450,12 @@ def _assignment_plan(ansatz, p, depth):
 
 
 # Partial assignments search_mod_p may hold at once: a bound on its memory.
-# The all-free V16 search at p = 13, depth 6 enumerates 61880 in all and
-# holds at most 30758.
+# The all-free S3-orbit searches of the catalog models, at any depth from 3
+# to 6, pass up to p = 31 on V16 (7 orbits; it holds about 30758 (p/13)^4,
+# 953312 at p = 31 in a 114 MiB Python 3.11 process) and up to p = 97 on V18
+# (5 orbits; p^3 at level 2); p = 37 and p = 101 are refused.  Small
+# primes combined by CRT reach any height window, so no search needs one
+# large prime.
 MAX_PARTIAL_ASSIGNMENTS = 1_000_000
 
 

@@ -251,21 +251,21 @@ def _traced_peak(fn, *args):
 
 
 def test_series_memory_holds_two_consecutive_powers():
-    """The depth-30 series peaks near f^14 plus f^15, not at every power of f.
+    """The depth-24 series peaks near f^11 plus f^12, not at every power of f.
 
-    The last product alone allocates f^15; keeping f^0..f^15 alive costs
-    about 3.6 times that, two powers about 1.9 times.
+    The last product alone allocates f^12; keeping f^0..f^12 alive costs
+    about 2.3 times that, two powers about 1.5 times.
     """
     f = catalog.builtin("V16").model
-    base = 2 * max(abs(x) for exps in f.term_map() for x in exps) * 15 + 1
+    base = 2 * max(abs(x) for exps in f.term_map() for x in exps) * 12 + 1
     packed = {pack_exponents(exps, base): c for exps, c in f.term_map().items()}
-    f14 = {0: 1}
-    for _ in range(14):
-        f14 = multiply_term_maps(f14, packed)
-    product_peak = _traced_peak(multiply_term_maps, f14, packed)
-    del f14
-    series_peak = _traced_peak(constant_term_series, f, 30)
-    assert series_peak <= 2.5 * product_peak, (series_peak, product_peak)
+    f11 = {0: 1}
+    for _ in range(11):
+        f11 = multiply_term_maps(f11, packed)
+    product_peak = _traced_peak(multiply_term_maps, f11, packed)
+    del f11
+    series_peak = _traced_peak(constant_term_series, f, 24)
+    assert series_peak <= 1.9 * product_peak, (series_peak, product_peak)
 
 
 def _apery(n):

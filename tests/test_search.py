@@ -281,6 +281,23 @@ def test_search_mod_p_rejects_bad_inputs():
         search_mod_p(ansatz_1d(CoefficientDomain.fixed(Fraction(1, 5))), target, 5)
 
 
+def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
+    """A level may hold exactly MAX_PARTIAL_ASSIGNMENTS partial assignments,
+    not one more; orbit b enters at level 2 with p residues."""
+    target = target_for(planted_1d(3))
+    ansatz = ansatz_1d(CoefficientDomain.free())
+    with pytest.raises(ValueError, match=r"^level 2 would hold 1000003 partial assignments"
+                                         r" modulo 1000003, more than the 1000000 "):
+        search_mod_p(ansatz, target, 1000003)
+    monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 5)
+    survivors, _ = search_mod_p(ansatz, target, 5)
+    assert survivors == ((3,),)
+    monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 4)
+    with pytest.raises(ValueError, match=r"^level 2 would hold 5 partial assignments modulo 5,"
+                                         r" more than the 4 "):
+        search_mod_p(ansatz, target, 5)
+
+
 def test_search_recovers_planted_coefficient():
     target = target_for(planted_1d(3))
     config = SearchConfig(target=target, primes=(7,), height=5)
