@@ -253,7 +253,7 @@ _BUILTINS = _build_builtins()
 
 
 def names():
-    return ("V16", "V18", "V22", "P3-sample", "product-of-lines-sample")
+    return tuple(_BUILTINS)
 
 
 def builtin(name):

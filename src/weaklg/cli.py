@@ -178,8 +178,9 @@ def _cmd_search(args):
         height=args.height,
         depth=args.depth,
         verify_depth=args.verify_depth,
-        threads=args.threads,
     )
+    if args.threads < 1:
+        raise ValueError("threads must be at least 1")
     try:
         result = search(ansatz, config)
     except HeightBoundExceeded as exc:

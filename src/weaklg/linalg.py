@@ -1,9 +1,10 @@
 """Small exact linear algebra helpers over the rationals.
 
-Matrices are plain sequences of rows, scaled to integers.  The one elimination
-is `nullspace`, modulo primes and certified by one exact integer product, and
-`rank` is read off it; Bareiss serves `det` above 2x2, and as oracles in
-tests/corpus.py.
+Matrices are plain sequences of rows, scaled to integers.  There are two
+eliminations.  Large rational systems go through `nullspace`, modulo primes and
+certified by one exact integer product, and `rank` is read off it.  Small
+integer matrices, such as the hull's edge vectors and facet normals, go through
+the fraction-free `echelon`, and `det` is its square case.
 """
 
 from __future__ import annotations
@@ -156,36 +157,43 @@ def nullspace(rows, ncols=None):
         chosen = None
 
 
+def echelon(rows):
+    """Fraction-free Bareiss (1968) row echelon of an integer matrix:
+    (rows, pivot columns, sign of the row swaps).  A column with no pivot is
+    skipped.  Every entry below the pivot rows is a minor of the input, so
+    each division is exact; with full rank the last pivot is, up to sign, the
+    minor on the pivot columns."""
+    a = [list(r) for r in rows]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k], sign = a[k], a[r], -sign
+        top, pivot = a[r], a[r][c]
+        for row in a[r + 1 :]:
+            f = row[c]
+            row[c:] = [(x * pivot - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = pivot
+        pivots.append(c)
+    return a, pivots, sign
+
+
 def det(matrix):
-    """Exact determinant: the 2x2 formula, and fraction-free Bareiss (1968)
-    above it on the matrix scaled to integers.  Every division is exact, so
-    k^3 steps on entries no larger than a k x k minor replace the k! terms of
-    a cofactor expansion."""
+    """Exact determinant: the square case of `echelon`, on the matrix scaled
+    to integers by the lcm of its denominators, so k^3 steps replace the k!
+    terms of a cofactor expansion."""
     m = [list(r) for r in matrix]
     k = len(m)
-    if k == 0:
-        return 1
     if any(len(r) != k for r in m):
         raise ValueError("determinant needs a square matrix")
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     den = math.lcm(*(x.denominator for row in m for x in row if isinstance(x, Fraction)))
-    a = [[int(x * den) for x in row] for row in m]
-    sign, prev = 1, 1
-    for c in range(k - 1):
-        r = next((i for i in range(c, k) if a[i][c]), None)
-        if r is None:
-            return 0
-        if r != c:
-            a[c], a[r], sign = a[r], a[c], -sign
-        top, pivot = a[c], a[c][c]
-        for row in a[c + 1 :]:
-            f = row[c]
-            row[c + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[c + 1 :], top[c + 1 :])]
-        prev = pivot
-    d = sign * a[-1][-1]
+    a, pivots, sign = echelon([[int(x * den) for x in row] for row in m])
+    if len(pivots) < k:
+        return 0
+    d = sign * a[-1][-1] if k else 1
     return d if den == 1 else Fraction(d, den**k)
 
 

@@ -114,25 +114,20 @@ class LatticePolytope(RationalPolytope):
 
 def _hyperplane_normal(points):
     """Primitive integer normal of the hyperplane through n affinely
-    independent points: the signed (n-1)-minors of their difference vectors,
-    which is the cross product when n = 3.
+    independent points.  One `linalg.echelon` of their difference vectors
+    leaves one free coordinate.  Set to the last pivot, it makes the exact
+    back-substitution give the signed (n-1)-minors up to sign, so every
+    division is exact; the caller orients the result.
     """
     base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    minors = [
-        (-1) ** i * linalg.det([row[:i] + row[i + 1 :] for row in rows])
-        for i in range(len(base))
-    ]
-    return linalg.primitive(minors)
-
-
-def _rank_at_least(rows, k):
-    """True when some k of the rows have a nonzero k x k minor: rank >= k."""
-    return any(
-        linalg.det([[row[c] for c in cols] for row in chosen])
-        for chosen in itertools.combinations(rows, k)
-        for cols in itertools.combinations(range(len(rows[0])), k)
-    )
+    rows, pivots, _ = linalg.echelon([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    x = [0] * len(base)
+    free = next(c for c in range(len(base)) if c not in pivots)
+    x[free] = rows[-1][pivots[-1]] if pivots else 1
+    # Each echelon row is zero left of its pivot, where x is still zero.
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        x[c] = -_dot(row, x) // row[c]
+    return linalg.primitive(x)
 
 
 def _boundary(pts):
@@ -144,8 +139,7 @@ def _boundary(pts):
     full-dimensional simplex.  A point strictly beyond some of them replaces
     those by the cones from the point over their horizon ridges, the ridges
     that only one of the replaced simplices has.  The starting simplex's
-    edges are tested for independence by minors: rank >= k exactly when a
-    k x k minor is nonzero.
+    edges are tested for independence by the pivot count of `linalg.echelon`.
     """
     n = len(pts[0])
     base = pts[0]
@@ -154,7 +148,7 @@ def _boundary(pts):
         if len(directions) == n:
             break
         d = [x - b for x, b in zip(p, base)]
-        if _rank_at_least(directions + [d], len(directions) + 1):
+        if len(linalg.echelon(directions + [d])[1]) > len(directions):
             simplex.append(p)
             directions.append(d)
     if len(directions) < n:
@@ -193,7 +187,7 @@ def convex_hull(points):
 
     The boundary simplices of `_boundary` that are coplanar share one
     (primitive normal, offset) key, which is the facet.  A point is a vertex
-    when the normals of the facets through it have rank n, a nonzero n x n minor.
+    when the normals of the facets through it have rank n.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
@@ -205,7 +199,7 @@ def convex_hull(points):
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
-        if _rank_at_least(incident, n):
+        if len(linalg.echelon(incident)[1]) == n:
             vertices.append(p)
     return LatticePolytope(n, vertices, facet_list)
 
@@ -263,10 +257,7 @@ def dual(P):
         verts.append(tuple(normalize_rational(Fraction(-ai) / c) for ai in a))
     facets = []
     for v in P.vertices:
-        den = 1
-        for x in v:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(Fraction(x).denominator for x in v))
         scaled = [int(-x * den) for x in v]
         g = math.gcd(*(abs(x) for x in scaled))
         facets.append(

@@ -275,19 +275,18 @@ def orbits(points, generators):
 
 
 class SearchConfig(namedtuple(
-    "SearchConfig", "target primes height depth verify_depth threads"
+    "SearchConfig", "target primes height depth verify_depth"
 )):
     """Target prefix (a PowerSeries) plus the knobs of the modular search.
 
     `depth` is the modular matching depth (constraints phi(r) = a_r for
     r = 1..depth); `verify_depth` is the exact verification depth, so the
-    target series must extend at least that far.  `threads` is validated and
-    kept for compatibility; the search runs in one process whatever its value.
+    target series must extend at least that far.
     """
 
     __slots__ = ()
 
-    def __new__(cls, target, primes=(7,), height=6, depth=4, verify_depth=8, threads=1):
+    def __new__(cls, target, primes=(7,), height=6, depth=4, verify_depth=8):
         primes = tuple(primes)
         if not primes:
             raise ValueError("at least one prime is required")
@@ -309,9 +308,7 @@ class SearchConfig(namedtuple(
             )
         if target[0] != 1:
             raise ValueError("target series must have constant coefficient 1")
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        return super().__new__(cls, target, primes, height, depth, verify_depth, threads)
+        return super().__new__(cls, target, primes, height, depth, verify_depth)
 
 
 PrimeStats = namedtuple(

@@ -255,6 +255,20 @@ def test_integers_outside_ascii_digits_exit_2_with_a_line(tmp_path, capsys, name
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
+def test_threads_do_not_change_the_result(tmp_path, capsys):
+    """`--threads` is accepted and checked, but the search runs in one process."""
+    _, series, ansatz = _write_search_inputs(tmp_path, 3)
+    argv = ["search", "-a", str(ansatz), "-s", str(series), "--prime", "7", "--height", "5"]
+    assert main(argv + ["--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert main(argv + ["--threads", "0"]) == 2
+    assert capsys.readouterr().err == "error: threads must be at least 1\n"
+    assert main(argv + ["--threads", "0", "--height", "0"]) == 2
+    assert capsys.readouterr().err == "error: height bound must be at least 1\n"
+
+
 def test_search_rejects_a_composite_modulus(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     code = main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "6"])

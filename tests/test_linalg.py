@@ -1,6 +1,7 @@
 """Cross-checks of the exact linear algebra against sympy and the Bareiss
-oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of `det`
-against the Leibniz formula, and of the primality test against trial division."""
+oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of `echelon`
+against sympy, of `det` against the Leibniz formula, and of the primality test
+against trial division."""
 
 import itertools
 import random
@@ -40,6 +41,29 @@ def test_rank_of_rank_deficient_matrices():
     assert linalg.rank([]) == rank_bareiss([]) == 0
     zeros = [[0, 0, 0], [0, 0, 0]]
     assert linalg.rank(zeros) == rank_bareiss(zeros) == 0
+
+
+def test_echelon_rank_agrees_with_sympy():
+    """Tall matrices with entries in [-50, 50], their rows sums of at most two
+    of fewer base rows: the pivot count is the rank, and each row is zero
+    left of its pivot, after the last pivot row entirely."""
+    rng = random.Random(53)
+    deficient = 0
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        base = [[rng.randint(-25, 25) for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+        rows = []
+        for _ in range(rng.randint(ncols, ncols + 4)):
+            a, b = rng.randint(-1, 1), rng.randint(-1, 1)
+            rows.append([a * x + b * y for x, y in zip(rng.choice(base), rng.choice(base))])
+        ech, pivots, _ = linalg.echelon(rows)
+        assert len(pivots) == sympy.Matrix(rows).rank(), rows
+        for i, row in enumerate(ech):
+            lead = pivots[i] if i < len(pivots) else ncols
+            assert not any(row[:lead]) and (lead == ncols or row[lead]), (rows, ech)
+        deficient += len(pivots) < ncols
+    assert deficient > 30
+    assert linalg.echelon([]) == ([], [], 1)
 
 
 def test_nullspace_vectors_annihilate_and_match_sympy_dimension():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from corpus import (
+    det_leibniz,
     hull_bruteforce,
     picard_rank_all_pairs,
     random_unimodular,
@@ -17,7 +18,7 @@ from corpus import (
 from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
-    _rank_at_least,
+    _hyperplane_normal,
     anticanonical_degree,
     anticanonical_sections,
     as_lattice,
@@ -106,13 +107,25 @@ def test_hull_matches_exhaustive_oracle_on_random_sets():
     assert full > 250 and degenerate > 20
 
 
-def test_rank_at_least_equals_bareiss_rank():
-    rng = random.Random(7)
-    for _ in range(300):
-        ncols = rng.randint(1, 4)
-        rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
-        for k in range(1, ncols + 1):
-            assert _rank_at_least(rows, k) == (rank_bareiss(rows) >= k), (rows, k)
+def test_hyperplane_normal_is_the_primitive_minor_vector():
+    """Nonzero, primitive, orthogonal to every edge, and up to sign the signed
+    (n-1)-minors of the difference vectors, in n = 2..6."""
+    rng = random.Random(19)
+    checked = 0
+    for n in range(2, 7):
+        for _ in range(12):
+            points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+            rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
+            minors = [(-1) ** i * det_leibniz([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)]
+            if not any(minors):
+                continue
+            a = _hyperplane_normal(points)
+            assert any(a) and math.gcd(*a) == 1
+            assert all(sum(x * y for x, y in zip(a, r)) == 0 for r in rows)
+            g = math.gcd(*minors)
+            assert a in (tuple(m // g for m in minors), tuple(-m // g for m in minors))
+            checked += 1
+    assert checked > 50
 
 
 def test_hull_skips_a_point_on_n_facets_with_dependent_normals():
@@ -126,6 +139,23 @@ def test_hull_skips_a_point_on_n_facets_with_dependent_normals():
     assert len(P.facets) == 16
     incident = [a for a, c in P.facets if sum(x * y for x, y in zip(a, (1, 1, 0, 0))) == c]
     assert len(incident) == 4 and rank_bareiss(incident) == 3
+
+
+def test_hull_of_the_six_dimensional_cross_polytope_with_edge_midpoints():
+    """Each of the 60 edge midpoints of 2 * (6-D cross-polytope) lies on 16
+    facets whose normals have rank 5: no vertex, however many facets."""
+    axes = [tuple(s * 2 * int(i == j) for j in range(6)) for i in range(6) for s in (1, -1)]
+    mids = {tuple((x + y) // 2 for x, y in zip(u, v))
+            for u, v in itertools.combinations(axes, 2) if any(x + y for x, y in zip(u, v))}
+    assert len(mids) == 60
+    points = axes + sorted(mids)
+    rng = random.Random(6)
+    identity = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    for U in [identity] + [random_unimodular(rng, n=6) for _ in range(2)]:
+        image = [tuple(sum(u * x for u, x in zip(row, p)) for row in U) for p in points]
+        P = convex_hull(image)
+        assert set(P.vertices) == set(image[:12])
+        assert len(P.facets) == 64
 
 
 def _gl3z_invariants(P):

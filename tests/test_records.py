@@ -61,7 +61,7 @@ def test_records_construct_by_position_and_keyword():
     assert OrbitSpec("a", ((1, 0),), CoefficientDomain.free()) == OrbitSpec(
         domain=CoefficientDomain("free"), points=[(1, 0)], label="a"
     )
-    config = SearchConfig(TARGET, [5, 7], 3, 2, 4, 1)
+    config = SearchConfig(TARGET, [5, 7], 3, 2, 4)
     assert config == SearchConfig(target=TARGET, primes=(5, 7), height=3, depth=2,
                                   verify_depth=4)
     assert config.primes == (5, 7)
@@ -96,7 +96,7 @@ def test_record_reprs_keep_their_form():
     )
     assert repr(SearchConfig(TARGET)) == (
         "SearchConfig(target=PowerSeries([1, 0, 2, 0, ...], order=8), primes=(7,),"
-        " height=6, depth=4, verify_depth=8, threads=1)"
+        " height=6, depth=4, verify_depth=8)"
     )
     assert repr(InvariantReport(True, True, 64, 35, 1, None, None, ())) == (
         "InvariantReport(canonical=True, reflexive=True, degree=64, sections=35,"
@@ -140,7 +140,6 @@ def test_records_are_immutable(record, field):
      "target series order 8 is below the verification depth 9"),
     (lambda: SearchConfig(PowerSeries([2] + [0] * 8)),
      "target series must have constant coefficient 1"),
-    (lambda: SearchConfig(TARGET, threads=0), "threads must be at least 1"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:

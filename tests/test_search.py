@@ -238,8 +238,6 @@ def test_search_config_validation():
         SearchConfig(target=t, verify_depth=9)
     with pytest.raises(ValueError):
         SearchConfig(target=PowerSeries([2] + [0] * 8))
-    with pytest.raises(ValueError):
-        SearchConfig(target=t, threads=0)
 
 
 def test_search_mod_p_recovers_planted_residue():
@@ -362,22 +360,6 @@ def test_search_result_is_deterministic():
     second = search(ansatz_1d(CoefficientDomain.free()), config)
     assert first == second
     assert first.stats.to_document() == second.stats.to_document()
-
-
-def test_threads_do_not_change_the_result():
-    f = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 2})
-    target = constant_term_series(f, 8)
-    vertex = OrbitSpec(
-        "vertex", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), CoefficientDomain.fixed(1)
-    )
-    apex = OrbitSpec("apex", ((-1, -1, -1),), CoefficientDomain.free())
-    ansatz = SupportAnsatz(3, [vertex, apex])
-    serial = search(ansatz, SearchConfig(target=target, primes=(7,), height=4))
-    parallel = search(
-        ansatz, SearchConfig(target=target, primes=(7,), height=4, threads=2)
-    )
-    assert serial == parallel
-    assert serial.matches == (f,)
 
 
 def test_lift_and_verify_requires_all_primes():
