@@ -101,6 +101,15 @@ def parse_ints(field):
         return None
 
 
+def integer_point(point, what="point"):
+    """`point` as a tuple of ints; any other entry, a bool or a float included, raises."""
+    point = tuple(point)
+    for x in point:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} {point} has a non-integer entry {x!r}")
+    return point
+
+
 class PointDims:
     """The dimension n of a file of integer points, and the check on each row.
 
@@ -485,7 +494,7 @@ def substitute_monomial(f, matrix):
     for m = 0.
     """
     n = f.dimension
-    U = [tuple(int(x) for x in row) for row in matrix]
+    U = [integer_point(row, "matrix row") for row in matrix]
     if len(U) != n or any(len(row) != n for row in U):
         raise DimensionMismatch(f"matrix must be {n}x{n}")
     d = linalg.det(U)

@@ -18,11 +18,8 @@ def _scaled_integer_rows(rows):
     """Copy rows, scaling each by the lcm of its denominators."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) if den != 1 else int(x) for x in row])
+        den = math.lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        out.append([int(x * den) for x in row])
     return out
 
 
@@ -199,9 +196,7 @@ def det(matrix):
 
 def primitive(vec):
     """Divide an all-integer vector by the gcd of its entries."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in vec)

@@ -17,7 +17,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .laurent import ParseError, PointDims, data_lines, format_rational, normalize_rational
+from .laurent import (
+    ParseError, PointDims, data_lines, format_rational, integer_point, normalize_rational,
+)
 
 
 class NotFullDimensional(ValueError):
@@ -189,7 +191,7 @@ def convex_hull(points):
     (primitive normal, offset) key, which is the facet.  A point is a vertex
     when the normals of the facets through it have rank n.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted(set(map(integer_point, points)))
     if not pts:
         raise ValueError("convex hull of an empty point set")
     n = len(pts[0])

@@ -3,8 +3,11 @@
 The problem comes in as a support ansatz (points grouped into symmetry
 orbits, one unknown coefficient per orbit, some orbits pinned to fixed
 values) plus a target series prefix.  With the support fixed, each constant
-term phi(r) is a polynomial of degree r in the orbit coefficients; these
-level polynomials phi(1..depth) are built exactly once per ansatz and depth.
+term phi(r) is a polynomial of degree r in the orbit coefficients.  Each
+call of search_mod_p or lift_and_verify builds these level polynomials
+phi(1..depth) from one expansion in which every orbit coefficient is a
+variable, and reads off it both the level where each orbit enters and
+phi(r) with the fixed values substituted.
 The search enumerates orbit coefficients modulo one or more primes, pruning
 level by level: phi(r) only involves orbits whose points can take part in a
 zero-sum r-fold product, so orbits are brought in exactly when they first
@@ -17,9 +20,7 @@ engine, so nothing modular is ever trusted in the output.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import types
 from collections import namedtuple
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from .laurent import (
     constant_term_series,
     data_lines,
     format_rational,
+    integer_point,
     normalize_rational,
     pack_exponents,
     parse_ints,
@@ -43,10 +45,15 @@ from .linalg import is_prime
 class HeightBoundExceeded(RuntimeError):
     """Residue assignments survived, but no integer lift fits the height bound.
 
-    `stats` carries the accumulated SearchStats when raised from search().
+    `combinations` counts the surviving residue combinations, and `stats`
+    carries the accumulated SearchStats when raised from search().
     """
 
     stats = None
+
+    def __init__(self, message, combinations):
+        super().__init__(message)
+        self.combinations = combinations
 
 
 class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
@@ -107,7 +114,7 @@ class OrbitSpec(namedtuple("OrbitSpec", "label points domain")):
     __slots__ = ()
 
     def __new__(cls, label, points, domain):
-        points = tuple(sorted({tuple(int(x) for x in p) for p in points}))
+        points = tuple(sorted(set(map(integer_point, points))))
         if not points:
             raise ValueError(f"orbit {label!r} has no points")
         return super().__new__(cls, label, points, domain)
@@ -238,7 +245,7 @@ def orbits(points, generators):
     closes under their inverses.  Orbits come back sorted, each one a sorted
     tuple of points.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted(set(map(integer_point, points)))
     if not pts:
         raise ValueError("no points to partition")
     n = len(pts[0])
@@ -247,7 +254,7 @@ def orbits(points, generators):
     pset = set(pts)
     mats = []
     for g in generators:
-        mat = tuple(tuple(int(x) for x in row) for row in g)
+        mat = tuple(integer_point(row, "generator row") for row in g)
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError(f"generator must be a {n}x{n} integer matrix")
         for p in pts:
@@ -339,23 +346,6 @@ class SearchStats(namedtuple(
 SearchResult = namedtuple("SearchResult", "matches stats")
 
 
-def _involvement_levels(ansatz, depth):
-    """First constraint level at which each orbit's coefficient matters.
-
-    A point m takes part in phi(r) exactly when m and r - 1 support points
-    sum to zero, that is when its orbit's variable occurs in phi(r) with
-    every orbit free and every coefficient 1: positive terms never cancel.
-    Orbits that never matter within `depth` are absent from the result.
-    """
-    levels = {}
-    for r, poly in enumerate(_level_polynomials(ansatz, depth, every_orbit=True), 1):
-        for exps in poly:
-            for idx, e in enumerate(exps):
-                if e:
-                    levels.setdefault(idx, r)
-    return levels
-
-
 def _modular_residue(value, p, context):
     frac = Fraction(value)
     if frac.denominator % p == 0:
@@ -365,42 +355,46 @@ def _modular_residue(value, p, context):
     return frac.numerator * pow(frac.denominator, -1, p) % p
 
 
-@functools.lru_cache(maxsize=16)
-def _level_polynomials(ansatz, depth, every_orbit=False):
-    """phi(1..depth) as exact polynomials in the non-fixed orbit coefficients.
+def _level_polynomials(ansatz, depth):
+    """(levels, first): phi(1..depth) and the level at which each orbit enters.
 
-    Entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
-    ansatz order) to nonzero int or Fraction coefficients; fixed orbits enter
-    as constants.  With `every_orbit`, every orbit is a variable instead and
-    every coefficient is 1.  The variables are extra packed variables of
+    One expansion makes every orbit coefficient a variable and every point
+    coefficient 1, through the extra packed variables of
     laurent.constant_term_levels: c_j x^m has key pack(m) * C + (depth + 1)^j
-    with C = (depth + 1)^v for v variables, since no degree exceeds depth.
-    So f is expanded only up to ceil(depth/2), by the same product as every
-    series.  The cached result is shared between primes and lifts, so each
-    level comes back as a read-only map.
+    with C = (depth + 1)^k for k orbits, since no degree exceeds depth.  Each
+    of its coefficients counts zero-sum r-fold products of support points, so
+    none cancels: `first` maps each orbit index to the least r whose phi(r)
+    holds that orbit's variable, fixed orbits included, and orbits that never
+    matter within `depth` are absent.  `levels` substitutes the fixed values:
+    entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
+    ansatz order) to nonzero int or Fraction coefficients.
     """
     digit = depth + 1
-    free = [every_orbit or spec.domain.kind != "fixed" for spec in ansatz.orbits]
-    split = digit ** sum(free)
+    specs = ansatz.orbits
+    split = digit ** len(specs)
     base = 2 * max(abs(x) for p in ansatz.support() for x in p) * ((depth + 1) // 2) + 1
-    terms = {}
-    variable = 1
-    for spec, is_free in zip(ansatz.orbits, free):
-        if is_free:
-            ckey, coeff = variable, 1
-            variable *= digit
-        else:
-            ckey, coeff = 0, spec.domain.values[0]
-        if coeff:
-            for point in spec.points:
-                terms[pack_exponents(point, base) * split + ckey] = coeff
-    return tuple(
-        types.MappingProxyType({
-            tuple(k // digit**i % digit for i in range(sum(free))): normalize_rational(c)
-            for k, c in level.items() if c
-        })
-        for level in constant_term_levels(terms, depth, split)[1:]
-    )
+    terms = {
+        pack_exponents(point, base) * split + digit**j: 1
+        for j, spec in enumerate(specs) for point in spec.points
+    }
+    fixed = [spec.domain.values[0] if spec.domain.kind == "fixed" else None for spec in specs]
+    levels, first = [], {}
+    for r, level in enumerate(constant_term_levels(terms, depth, split)[1:], 1):
+        poly = {}
+        for key, coeff in level.items():
+            exps = []
+            for j, value in enumerate(fixed):
+                key, e = divmod(key, digit)
+                if e:
+                    first.setdefault(j, r)
+                if value is None:
+                    exps.append(e)
+                elif e:
+                    coeff *= value**e
+            exps = tuple(exps)
+            poly[exps] = poly.get(exps, 0) + coeff
+        levels.append({exps: normalize_rational(c) for exps, c in poly.items() if c})
+    return levels, first
 
 
 def _sparse_terms(poly, positions):
@@ -423,27 +417,6 @@ def _evaluate(terms, values):
 def _undetermined(ansatz):
     """(index, spec) of every orbit whose coefficient is not fixed."""
     return [(idx, s) for idx, s in enumerate(ansatz.orbits) if s.domain.kind != "fixed"]
-
-
-def _assignment_plan(ansatz, p, depth):
-    """Orbit assignment order and mod-p domains for one prime."""
-    levels = _involvement_levels(ansatz, depth)
-    undetermined = _undetermined(ansatz)
-    order = sorted(
-        range(len(undetermined)),
-        key=lambda k: (
-            levels.get(undetermined[k][0], depth + 1),
-            undetermined[k][1].representative,
-        ),
-    )
-    domains = []
-    for k in order:
-        spec = undetermined[k][1]
-        if spec.domain.kind == "free":
-            domains.append(range(p))
-        else:
-            domains.append(tuple(sorted({v % p for v in spec.domain.values})))
-    return undetermined, order, domains, levels
 
 
 # Partial assignments search_mod_p may hold at once: a bound on its memory.
@@ -492,14 +465,20 @@ def search_mod_p(ansatz, target, p, depth=None):
             # every level coefficient is then defined modulo p as well
             _modular_residue(spec.domain.values[0], p, "fixed coefficient")
 
-    undetermined, order, domains, levels = _assignment_plan(ansatz, p, depth)
+    levels, first = _level_polynomials(ansatz, depth)
+    undetermined = _undetermined(ansatz)
+    # orbits are assigned at the level where they first matter
+    entry = [first.get(idx, depth + 1) for idx, _ in undetermined]
+    order = sorted(
+        range(len(undetermined)), key=lambda k: (entry[k], undetermined[k][1].representative)
+    )
     position = {k: pos for pos, k in enumerate(order)}
     checks = [
         [
             (_modular_residue(c, p, "level coefficient"), factors)
             for c, factors in _sparse_terms(poly, position)
         ]
-        for poly in _level_polynomials(ansatz, depth)
+        for poly in levels
     ]
 
     partials = [()]
@@ -508,11 +487,12 @@ def search_mod_p(ansatz, target, p, depth=None):
     per_level = []
     # level depth + 1 only assigns the orbits that never influence the prefix
     for r in range(1, depth + 2):
-        need = sum(
-            1 for k in order if levels.get(undetermined[k][0], depth + 1) <= r
-        )
-        while assigned < need:
-            domain = domains[assigned]
+        while assigned < len(order) and entry[order[assigned]] <= r:
+            spec = undetermined[order[assigned]][1]
+            if spec.domain.kind == "free":
+                domain = range(p)
+            else:
+                domain = sorted({v % p for v in spec.domain.values})
             # len() of a range stops at sys.maxsize, below some primes is_prime accepts
             count = len(partials) * (p if isinstance(domain, range) else len(domain))
             if count > MAX_PARTIAL_ASSIGNMENTS:
@@ -601,9 +581,10 @@ def lift_and_verify(per_prime, ansatz, config):
     undetermined = _undetermined(ansatz)
     target = config.target
     prefix = target.truncate(config.verify_depth)
+    levels, _ = _level_polynomials(ansatz, config.depth)
     checks = [
         (target[r], _sparse_terms(poly, range(len(undetermined))))
-        for r, poly in enumerate(_level_polynomials(ansatz, config.depth), 1)
+        for r, poly in enumerate(levels, 1)
     ]
     matches = {}
     combinations = 0
@@ -631,13 +612,12 @@ def lift_and_verify(per_prime, ansatz, config):
                 if constant_term_series(candidate, config.verify_depth) == prefix:
                     matches.setdefault(candidate.to_text(), candidate)
     if not matches and lifts_tried == 0 and range_blocked > 0:
-        exc = HeightBoundExceeded(
+        raise HeightBoundExceeded(
             f"{combinations} residue combinations survived modulo"
             f" {'x'.join(str(p) for p in primes)} but none lifts into"
-            f" [-{config.height}, {config.height}]"
+            f" [-{config.height}, {config.height}]",
+            combinations,
         )
-        exc.combinations = combinations
-        raise exc
     ordered = tuple(matches[key] for key in sorted(matches))
     return ordered, combinations, lifts_tried
 
@@ -658,7 +638,7 @@ def search(ansatz, config):
     try:
         matches, combinations, lifts_tried = lift_and_verify(per_prime, ansatz, config)
     except HeightBoundExceeded as exc:
-        exc.stats = SearchStats(tuple(prime_stats), getattr(exc, "combinations", 0), 0, 0)
+        exc.stats = SearchStats(tuple(prime_stats), exc.combinations, 0, 0)
         raise
     stats = SearchStats(tuple(prime_stats), combinations, lifts_tried, len(matches))
     return SearchResult(matches=matches, stats=stats)

@@ -1,12 +1,16 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from corpus import phi_bruteforce
-from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
+from weaklg.laurent import (
+    LaurentPoly, ParseError, PowerSeries, constant_term_series, substitute_monomial,
+)
+from weaklg.polytope import convex_hull
 from weaklg.search import (
     CoefficientDomain,
     HeightBoundExceeded,
@@ -68,6 +72,25 @@ def test_orbit_spec_sorts_and_dedupes_points():
     assert spec.representative == (0, 1)
     with pytest.raises(ValueError):
         OrbitSpec("s", (), CoefficientDomain.free())
+
+
+@pytest.mark.parametrize("build, bad", [
+    pytest.param(lambda x: convex_hull([(x, 0), (0, 1), (-1, 0), (0, -1)]), 1.7, id="hull-float"),
+    pytest.param(lambda x: convex_hull([(x, 0), (-x, 0), (0, x), (0, -x)]), Fraction(1, 2),
+                 id="hull-fraction"),
+    pytest.param(lambda x: OrbitSpec("s", ((x, 0), (0, 1)), CoefficientDomain.free()), 1.0,
+                 id="orbit-spec-float"),
+    pytest.param(lambda x: OrbitSpec("s", ((x, 0), (0, 1)), CoefficientDomain.free()), True,
+                 id="orbit-spec-bool"),
+    pytest.param(lambda x: orbits([(x,), (-1,)], [((-1,),)]), 1.9, id="orbits-point-float"),
+    pytest.param(lambda x: orbits([(1,), (-1,)], [((x,),)]), Fraction(-3, 2),
+                 id="orbits-generator-fraction"),
+    pytest.param(lambda x: substitute_monomial(planted_1d(1), [(x,)]), Fraction(-3, 2),
+                 id="monomial-substitution-fraction"),
+])
+def test_points_and_generators_must_be_integers(build, bad):
+    with pytest.raises(ValueError, match=re.escape(f"non-integer entry {bad!r}")):
+        build(bad)
 
 
 def test_ansatz_validation():
@@ -339,6 +362,7 @@ def test_search_height_bound_exceeded():
     assert stats is not None
     assert stats.residue_combinations == 1
     assert stats.prime_stats[0].survivor_count == 1
+    assert info.value.combinations == 1
     assert "[-5, 5]" in str(info.value)
 
 
@@ -408,6 +432,18 @@ def assembled(ansatz, values):
     return LaurentPoly(ansatz.dimension, terms)
 
 
+def zero_sum_levels(specs, support, depth):
+    """{index in specs: least r <= depth with a point of that spec in a zero-sum r-fold product}."""
+    levels = {}
+    for r in range(depth, 0, -1):
+        for combo in itertools.combinations_with_replacement(support, r):
+            if not any(map(sum, zip(*combo))):
+                for k, spec in enumerate(specs):
+                    if set(combo) & set(spec.points):
+                        levels[k] = r
+    return levels
+
+
 def evaluate_polynomial(poly, values):
     total = 0
     for exps, coeff in poly.items():
@@ -428,8 +464,10 @@ def test_level_polynomials_match_bruteforce_series(n):
             for spec in ansatz.orbits
         )
         depth = rng.randint(1, 5)
-        levels = _level_polynomials(ansatz, depth)
+        levels, first = _level_polynomials(ansatz, depth)
         assert len(levels) == depth
+        # fixed orbits too, even when their value is 0 or their terms cancel
+        assert first == zero_sum_levels(ansatz.orbits, ansatz.support(), depth)
         for _ in range(4):
             values = [rng.randint(-3, 3) for _ in unknowns(ansatz)]
             phi = phi_bruteforce(assembled(ansatz, values), depth)
@@ -462,6 +500,17 @@ def test_search_mod_p_matches_bruteforce_filter(seed):
     the domain sizes of the orbits not yet involved.
     """
     rng = random.Random(seed)
+    # a meets only the fixed-0 point -1 in a zero-sum pair, so it is involved
+    # from r = 2, although with 0 put in phi(2) = 2b and phi(3) = 3a^2
+    zero_partner = SupportAnsatz(1, [
+        OrbitSpec("a", ((1,),), CoefficientDomain.free()),
+        OrbitSpec("z", ((-1,),), CoefficientDomain.fixed(0)),
+        OrbitSpec("b", ((2,),), CoefficientDomain.free()),
+        OrbitSpec("c", ((-2,),), CoefficientDomain.fixed(1)),
+    ])
+    p, depth = (2, 3, 5)[seed % 3], 2 + seed % 3
+    target = PowerSeries(phi_bruteforce(assembled(zero_partner, (1, 2)), depth))
+    assert_survivors_match_bruteforce(zero_partner, target, p, depth)
     checked = 0
     while checked < 12:
         ansatz = random_ansatz(rng, rng.choice((1, 2)), max_points=4)
@@ -476,40 +525,39 @@ def test_search_mod_p_matches_bruteforce_filter(seed):
             target = PowerSeries(phi_bruteforce(assembled(ansatz, planted), depth))
         else:
             target = PowerSeries([1] + [rng.randint(-4, 4) for _ in range(depth)])
-        phis = {a: phi_bruteforce(assembled(ansatz, a), depth) for a in itertools.product(*domains)}
-        survivors, stats = search_mod_p(ansatz, target, p, depth)
-
-        involved = {}
-        for r in range(depth, 0, -1):
-            for combo in itertools.combinations_with_replacement(ansatz.support(), r):
-                if not any(map(sum, zip(*combo))):
-                    for k, spec in enumerate(unknowns(ansatz)):
-                        if set(combo) & set(spec.points):
-                            involved[k] = r
-        expected_levels = []
-        for r in range(1, depth + 1):
-            passing = sum(
-                all(matches_mod_p(phi, target, p, s) for s in range(1, r + 1))
-                for phi in phis.values()
-            )
-            free_later = 1
-            for k, dom in enumerate(domains):
-                if involved.get(k, depth + 1) > r:
-                    free_later *= len(dom)
-            assert passing % free_later == 0
-            expected_levels.append((r, passing // free_later))
-            if not passing:
-                break
-        expected = tuple(
-            sorted(
-                a for a, phi in phis.items()
-                if all(matches_mod_p(phi, target, p, r) for r in range(1, depth + 1))
-            )
-        )
-        assert survivors == expected
-        assert stats.survivors_per_level == tuple(expected_levels)
-        assert stats.survivor_count == len(expected)
+        assert_survivors_match_bruteforce(ansatz, target, p, depth)
         checked += 1
+
+
+def assert_survivors_match_bruteforce(ansatz, target, p, depth):
+    domains = [residue_domain(spec, p) for spec in unknowns(ansatz)]
+    phis = {a: phi_bruteforce(assembled(ansatz, a), depth) for a in itertools.product(*domains)}
+    survivors, stats = search_mod_p(ansatz, target, p, depth)
+
+    involved = zero_sum_levels(unknowns(ansatz), ansatz.support(), depth)
+    expected_levels = []
+    for r in range(1, depth + 1):
+        passing = sum(
+            all(matches_mod_p(phi, target, p, s) for s in range(1, r + 1))
+            for phi in phis.values()
+        )
+        free_later = 1
+        for k, dom in enumerate(domains):
+            if involved.get(k, depth + 1) > r:
+                free_later *= len(dom)
+        assert passing % free_later == 0
+        expected_levels.append((r, passing // free_later))
+        if not passing:
+            break
+    expected = tuple(
+        sorted(
+            a for a, phi in phis.items()
+            if all(matches_mod_p(phi, target, p, r) for r in range(1, depth + 1))
+        )
+    )
+    assert survivors == expected
+    assert stats.survivors_per_level == tuple(expected_levels)
+    assert stats.survivor_count == len(expected)
 
 
 def test_lift_pre_check_only_drops_non_matches():

@@ -1,8 +1,10 @@
-"""The benchmark's traced run finds every function it wraps.
+"""The benchmark's traced run finds every function it wraps, and sees its work.
 
 perfbench/spans.py wraps weaklg functions by name and silently skips a name
 that no longer resolves, which drops that layer's metrics from the traced
-result.  These checks read the span table and fail instead.
+result.  These checks read the span table and fail instead.  The traced run
+follows a warm-up run in the same process, so work kept between calls would
+also drop out of it.
 """
 
 import importlib
@@ -61,3 +63,27 @@ def test_tracer_installs_every_span_and_reports_every_per_layer_metric():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         wanted = {entry["name"] for entry in json.load(handle)["per_layer"]}
     assert metrics == wanted
+
+
+def test_repeated_search_records_the_same_products():
+    from weaklg import search
+    from weaklg.laurent import LaurentPoly, constant_term_series
+
+    # labels no other test uses: work kept from an earlier call would otherwise go unseen
+    ansatz = search.SupportAnsatz(1, [
+        search.OrbitSpec("trace-a", ((1,),), search.CoefficientDomain.fixed(1)),
+        search.OrbitSpec("trace-b", ((-1,),), search.CoefficientDomain.free()),
+    ])
+    target = constant_term_series(LaurentPoly(1, {(1,): 1, (-1,): 3}), 8)
+    config = search.SearchConfig(target=target, primes=(7,), height=5, depth=4)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        counts = []
+        for _ in range(2):
+            start = len(tracer.spans)
+            search.search(ansatz, config)
+            counts.append(sum(span[0] == "laurent.mul" for span in tracer.spans[start:]))
+    finally:
+        tracer.uninstall()
+    assert counts[0] > 0 and counts[0] == counts[1], counts
