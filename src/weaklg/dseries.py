@@ -150,10 +150,14 @@ class DOperator:
 def solve_series(op, N):
     """The unique solution with a_0 = 1, through order N.
 
-    Requires P_0(k) != 0 for 1 <= k <= N; the first failing k is reported.
+    Requires P_0(0) = 0, since order 0 of L s is P_0(0) a_0, and
+    P_0(k) != 0 for 1 <= k <= N; the first failing k is reported.
     """
     if N < 0:
         raise ValueError("series order must be nonnegative")
+    if op.table[0][0]:
+        raise ValueError(f"P_0(0) = {format_rational(op.table[0][0])}, not 0: "
+                         "no series with a_0 = 1 is annihilated")
     if not any(op.table[0]):
         raise IndicialObstruction(1)
     for k in range(1, N + 1):

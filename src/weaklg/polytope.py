@@ -268,13 +268,6 @@ def dual(P):
     return RationalPolytope(n, verts, facets)
 
 
-def as_lattice(Q):
-    """Rebuild a polytope with integral vertices as a LatticePolytope."""
-    if not Q.is_integral():
-        raise ValueError("polytope has non-integral vertices")
-    return convex_hull(Q.vertices)
-
-
 def is_reflexive(P):
     """True when every vertex of the polar dual is a lattice point."""
     return dual(P).is_integral()

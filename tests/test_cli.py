@@ -412,6 +412,20 @@ def test_bad_input_files_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_operators_with_nonzero_p0_at_zero_exit_2(tmp_path, capsys):
+    poly, op, ansatz = tmp_path / "x.poly", tmp_path / "c.op", tmp_path / "x.ansatz"
+    poly.write_text("# dim 1\n1 : 1\n")
+    op.write_text("order 1, tdeg 0\n1 0\n")
+    ansatz.write_text("# dim 1\n1 : a : free\n")
+    for argv in (["verify", "-f", str(poly), "-L", str(op), "-N", "4"],
+                 ["solve", "-L", str(op), "-N", "4"],
+                 ["search", "-a", str(ansatz), "-L", str(op)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: P_0(0) = 1, not 0: no series with a_0 = 1 is annihilated\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -92,11 +92,21 @@ def test_solve_series_hand_recurrence():
 
 
 def test_solve_series_reports_indicial_obstruction():
-    op = DOperator([[-2, 1], [1, 0]])
+    op = DOperator([[0, -2, 1], [1, 0, 0]])
     with pytest.raises(IndicialObstruction) as info:
         solve_series(op, 5)
     assert info.value.k == 2
     assert solve_series(op, 1)[1] == 1
+
+
+def test_solve_series_refuses_a_nonzero_p0_at_zero():
+    """Order 0 of L s is P_0(0) a_0, so no series with a_0 = 1 solves L = 1 + t."""
+    op = DOperator([[1], [0]])
+    assert list(apply_operator(op, PowerSeries([1, 0, 0, 0, 0]))) == [1, 0, 0, 0, 0]
+    for table in ([[1], [0]], [[-2, 1], [1, 0]], [[Fraction(1, 3), 0, 1]]):
+        with pytest.raises(ValueError, match=r"P_0\(0\) = .*, not 0") as info:
+            solve_series(DOperator(table), 4)
+        assert not isinstance(info.value, IndicialObstruction)
 
 
 def test_zero_p0_is_constructible_but_not_solvable():

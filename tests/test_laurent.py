@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -23,7 +24,7 @@ from weaklg.laurent import (
     substitute_monomial,
 )
 
-from weaklg import catalog
+from weaklg import catalog, laurent
 
 from corpus import (
     multiply_bruteforce,
@@ -250,12 +251,14 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_series_memory_holds_two_consecutive_powers():
+def test_series_memory_holds_two_consecutive_powers(monkeypatch):
     """The depth-24 series peaks near f^11 plus f^12, not at every power of f.
 
     The last product alone allocates f^12; keeping f^0..f^12 alive costs
-    about 2.3 times that, two powers about 1.5 times.
+    about 2.3 times that, two powers about 1.5 times.  The bound is sized
+    for plain keys, so the series is held to them.
     """
+    _forced(monkeypatch, False)
     f = catalog.builtin("V16").model
     base = 2 * max(abs(x) for exps in f.term_map() for x in exps) * 12 + 1
     packed = {pack_exponents(exps, base): c for exps, c in f.term_map().items()}
@@ -347,6 +350,77 @@ def test_series_edge_cases_against_bruteforce():
     for f in cases:
         for N in (0, 1, 2, 5, 6):
             _assert_both_entry_points_match_bruteforce(f, N)
+
+
+def _forced(monkeypatch, pays):
+    """Make constant_term_series take the Kronecker rows (pays=True) or plain keys."""
+    rows = laurent._kronecker_rows
+
+    def forced(terms, N):
+        packing = rows(terms, N)
+        return packing and packing[:-1] + (pays,)
+    monkeypatch.setattr(laurent, "_kronecker_rows", forced)
+
+
+def test_both_packings_against_bruteforce(monkeypatch):
+    rng = random.Random(71)
+    cases = [
+        catalog.builtin("V22").model,
+        # negative and Fraction coefficients on a full support
+        LaurentPoly(2, {(1, 0): -3, (0, 1): Fraction(2, 3), (-1, -1): 1, (0, 0): Fraction(-1, 2),
+                        (1, 1): 5, (-1, 0): Fraction(7, 4)}),
+        LaurentPoly(3, {e: rng.choice((-2, -1, 1, Fraction(1, 3), Fraction(-5, 2)))
+                        for e in itertools.product((-1, 0, 1), repeat=3) if rng.random() < 0.6}),
+        LaurentPoly.zero(3),
+        LaurentPoly(1, {(1,): 1, (-1,): Fraction(-2, 3), (0,): 4}),
+        LaurentPoly(1, {(2,): 1}),
+        # every exponent positive, so phi(i) = 0 for i > 0 on every axis
+        LaurentPoly(2, {(1, 1): 1, (2, 1): -1, (1, 2): 2, (2, 2): Fraction(1, 2)}),
+        LaurentPoly(2, {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}),
+    ]
+    for f in cases:
+        for N in (0, 1, 2, 5, 6):
+            want = phi_bruteforce(f, N)
+            for pays in (True, False):
+                with monkeypatch.context() as m:
+                    _forced(m, pays)
+                    assert list(constant_term_series(f, N)) == want, (f.terms(), N, pays)
+    assert laurent._kronecker_rows(cases[6]._terms, 6)[2] < 0
+    assert laurent._kronecker_rows(LaurentPoly.zero(2)._terms, 4) is None
+
+
+def test_kronecker_rows_pack_full_supports_only():
+    for name in ("V16", "V18", "V22"):
+        f = catalog.builtin(name).model
+        for N in (8, 13, 24):
+            assert laurent._kronecker_rows(f._terms, N)[-1], (name, N)
+    sparse = [
+        (LaurentPoly(2, {(200, 0): 1, (-200, 0): 1, (0, 1): 1, (0, -1): 1}), 20),
+        (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1}), 40),
+        (LaurentPoly(1, {(1,): 1, (-1,): 1}), 200),
+        (catalog.builtin("V16").model, 80),
+    ]
+    for f, N in sparse:
+        assert not laurent._kronecker_rows(f._terms, N)[-1], (f.terms(), N)
+
+
+def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
+    f = catalog.builtin("V16").model
+    want = constant_term_series(f, 24)
+    rng = random.Random(24)
+    for _ in range(3):
+        g = substitute_monomial(f, random_unimodular(rng))
+        assert laurent._kronecker_rows(g._terms, 24)[-1]
+        assert constant_term_series(g, 24) == want
+
+
+def test_narrowing_recovers_the_catalog_boxes_under_unimodular_maps():
+    models = [catalog.builtin(name).model for name in ("V16", "V18", "V22")]
+    for seed in range(1, 201):
+        rng = random.Random(seed)
+        for f in models:
+            g = substitute_monomial(f, random_unimodular(rng))
+            assert [laurent._width(row) for row in laurent._narrowed(g._terms)] == [2, 2, 2], seed
 
 
 def test_mutation_pairs_have_equal_series():

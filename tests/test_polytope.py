@@ -21,7 +21,6 @@ from weaklg.polytope import (
     _hyperplane_normal,
     anticanonical_degree,
     anticanonical_sections,
-    as_lattice,
     convex_hull,
     dual,
     interior_lattice_points,
@@ -279,9 +278,9 @@ def test_reflexivity_anchors():
     assert is_reflexive(cube())
     bad = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -2, -2)])
     assert not is_reflexive(bad)
-    assert as_lattice(dual(octahedron())) == cube()
-    with pytest.raises(ValueError):
-        as_lattice(dual(bad))
+    assert dual(octahedron()).is_integral()
+    assert convex_hull(dual(octahedron()).vertices) == cube()
+    assert not dual(bad).is_integral()
 
 
 def test_volumes():
@@ -348,8 +347,9 @@ def test_dual_fan_rank_needs_no_second_hull_of_a_reflexive_dual():
     reflexive = [P for pair in _gl3z_corpus() for P in pair if is_reflexive(P)]
     assert len(reflexive) > 10
     for P in reflexive:
-        assert dual(P) == as_lattice(dual(P))
-        want = picard_rank(as_lattice(dual(P)))
+        assert dual(P).is_integral()
+        assert dual(P) == convex_hull(dual(P).vertices)
+        want = picard_rank(convex_hull(dual(P).vertices))
         assert invariant_report(P).dual_fan_picard_rank == want
 
 
@@ -378,7 +378,7 @@ def test_picard_rank_chain_matches_all_pairs_oracle():
     polytopes += [newton_polytope(catalog.builtin(name).model) for name in ("V16", "V18", "V22")]
     # the images under GL(3,Z) have the same rank, checked above
     polytopes += [P for P, _ in _gl3z_corpus()]
-    polytopes += [as_lattice(dual(P)) for P in polytopes if is_reflexive(P)]
+    polytopes += [convex_hull(dual(P).vertices) for P in polytopes if is_reflexive(P)]
     assert len(polytopes) > 106
     cross = _cross_polytope(4)
     polytopes.append(cross)
