@@ -5,9 +5,10 @@ the coefficient of x^0 in f^i.  One split-power convolution evaluates it,
 expanding f only up to half the order: phi(a+b) = sum_m [f^a]_m [f^b]_{-m}.
 Products run on packed exponents, each vector one signed int sum e_i B^i with
 balanced digits (Monagan and Pearce, CASC 2007), so multiplying monomials is
-adding ints and -m has key -key(m).  Where the support fills its rows, the
-series runs on Kronecker rows instead: one int per row along an axis, so a
-row product is one int product (Harvey, J. Symb. Comput. 44, 2009).
+adding ints and -m has key -key(m).  The series runs on such keys too, each
+term one row of one slot, or, where the support fills its rows, on
+Kronecker rows: one int per row along an axis, so a row product is one int
+product (Harvey, J. Symb. Comput. 44, 2009).
 Everything is exact; coefficients are Python ints where possible and
 Fractions otherwise.
 """
@@ -168,20 +169,14 @@ def _unpack_exponents(key, base, n):
     return tuple(out)
 
 
-def _max_abs_exponent(terms):
-    return max((abs(x) for exps in terms for x in exps), default=0)
-
-
-def _packed(terms, base):
-    return {pack_exponents(exps, base): c for exps, c in terms.items()}
-
-
 def _product(n, factors):
     """The product of LaurentPolys in n variables, multiplied on packed keys."""
-    base = 2 * sum(_max_abs_exponent(g._terms) for g in factors) + 1
+    base = 2 * sum(max((abs(x) for e in g._terms for x in e), default=0)
+                   for g in factors) + 1
     result = {0: 1}
     for g in factors:
-        result = multiply_term_maps(result, _packed(g._terms, base))
+        packed = {pack_exponents(e, base): c for e, c in g._terms.items()}
+        result = multiply_term_maps(result, packed)
     return LaurentPoly(n, {_unpack_exponents(k, base, n): c for k, c in result.items()})
 
 
@@ -190,9 +185,9 @@ def multiply_term_maps(a, b):
 
     This is the inner loop of every power computation, so it works on raw
     dicts of int keys (see pack_exponents) rather than LaurentPoly wrappers;
-    the coefficients are ints, a whole Kronecker row each for
-    _kronecker_rows, or Fractions.  Terms that cancel are deleted
-    from the product itself, so no second copy of it is ever built.
+    the coefficients are ints, a whole Kronecker row each where _rows
+    packs, or Fractions.  Terms that cancel are deleted from the product
+    itself, so no second copy of it is ever built.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -219,9 +214,7 @@ def constant_term_levels(terms, N, split=1):
 
     Those two are always consecutive powers, so one loop makes f^(a+1) from
     f^a, reads levels 2a+1 and 2a+2 off the pair, and drops f^a: memory
-    holds two powers, not all ceil(N/2) + 1 of them.  On the V16 model the
-    peak RSS of a fresh `series -N 24 --mitm` process went from 21.0 to
-    18.5 MiB, and of `series -N 40` from 51.2 to 28.8 MiB (Python 3.11).
+    holds two powers, not all ceil(N/2) + 1 of them.
     """
     if split == 1:  # every series: grouping by xkey would only add work
         def grouped(power):
@@ -481,25 +474,24 @@ class PowerSeries:
 def constant_term_series(f, N):
     """phi(i) for i = 0..N, expanding f only up to ceil(N/2); see constant_term_levels.
 
-    Where _kronecker_rows packs f, level i is one integer whose slot i h is
-    D^i phi(i); every slot below it lies in (-2^(W-1), 2^(W-1)), so adding
-    half of 2^(W i h) before the shift takes their borrow back.
+    On the rows of _rows, level i is one integer whose slot i h is
+    D^i phi(i).  Every slot below it lies in (-2^(W-1), 2^(W-1)), so adding
+    half of 2^(W i h) before the shift takes their borrow back; one-slot
+    rows (W = h = 0) hold D^i phi(i) whole.
     """
     if not isinstance(f, LaurentPoly):
         raise TypeError("constant_term_series expects a LaurentPoly")
     if N < 0:
         raise ValueError("series order must be nonnegative")
-    packing = _kronecker_rows(f._terms, N)
-    if not (packing and packing[-1]):
-        base = 2 * _max_abs_exponent(f._terms) * ((N + 1) // 2) + 1
-        levels = constant_term_levels(_packed(f._terms, base), N)
-        return PowerSeries(level.get(0, 0) for level in levels)
-    rows, width, h, scale, _ = packing
+    rows, width, h, scale = _rows(f._terms, N)
     out = []
     for i, level in enumerate(constant_term_levels(rows, N)):
-        shift = width * i * h
-        slot = (level[0] + (1 << shift >> 1)) >> shift & (1 << width) - 1 if shift >= 0 else 0
-        out.append(Fraction(slot - (slot >> width - 1 << width), scale**i))
+        slot = level[0]
+        if width:
+            shift = width * i * h
+            slot = (slot + (1 << shift >> 1)) >> shift & (1 << width) - 1 if shift >= 0 else 0
+            slot -= slot >> width - 1 << width
+        out.append(Fraction(slot, scale**i) if scale > 1 else slot)
     return PowerSeries(out)
 
 
@@ -531,47 +523,52 @@ def _narrowed(points):
     return rows
 
 
-def _kronecker_rows(terms, N):
-    """f as Kronecker rows for phi(0..N), and whether they beat plain keys (None for f = 0).
+_ROW_BITS = 1 << 14
 
-    In the narrowed basis, the axis whose rows of supp(f f) are fullest is
-    packed: g = D f has integer coefficients, and the row of g at the other
-    exponents m is the integer sum c 2^(W (e - min e)) over its terms
-    c x^(m, e), so one int product multiplies two rows (Kronecker
-    substitution).  W = bits(S^N) + 1 for S = sum |c|: every coefficient of
-    g^i, i <= N, fits in W signed bits, so the sum over m of
-    [g^a]_m [g^b]_-m holds D^i phi(i) whole in slot i (-min e).
+
+def _rows(terms, N):
+    """f as rows of integers for phi(0..N): (rows, W, h, D), with g = D f integral.
+
+    D is the lcm of the denominators of f.  Where packing pays, the axis of
+    the narrowed basis whose rows of supp(f f) are fullest is packed: the
+    row of g at the other exponents m is the integer sum c 2^(W (e - min e))
+    over its terms c x^(m, e), so one int product multiplies two rows
+    (Kronecker substitution), and h = -min e.  W = bits(S^N) + 1 for
+    S = sum |c|: every coefficient of g^i, i <= N, fits in W signed bits, so
+    the sum over m of [g^a]_m [g^b]_-m holds D^i phi(i) whole in slot i h.
+    Otherwise each term c x^e of g is a row of one slot keyed by the
+    balanced packing of e, and W = h = 0.
 
     Packing pays where supp(f f) fills at least half of its rows times its
     span, f has more than one row, and the rows of f^ceil(N/2) stay within
-    2^14 bits.  Outside that, measured against plain keys: x + 1/x (one row)
-    was 1.35 times slower at N=50, and (1 + x + y)(1 + 1/x + 1/y) 2.2 times
-    at N=80 (20655-bit rows), where each level's whole-row products cost
-    more than the power steps save.
-    Returns (rows keyed by the balanced packing of the other exponents, W,
-    -min e, D, whether packing pays).
+    2^14 bits.  Outside that, measured against one-slot rows: x + 1/x (one row) was 1.35 times slower at N=50,
+    and (1 + x + y)(1 + 1/x + 1/y) 2.2 times at N=80 (20655-bit rows), where
+    each level's whole-row products cost more than the power steps save.
+    Since bits(S^N) > N (bits(S) - 1), a depth past that bound is refused
+    before narrowing, and S^N is never built there.
     """
-    if not terms:
-        return None
-    K = (N + 1) // 2
-    cols = _narrowed(terms)
-    base = 2 * max(max(map(abs, col)) for col in cols) * max(K, 2) + 1
-    keys = [pack_exponents(p, base) for p in zip(*cols)]
-    sizes = []  # per axis: rows of supp(f f) times its span
-    for axis, col in enumerate(cols):
-        rest = {k - e * base**axis for k, e in zip(keys, col)}
-        sizes.append(len({a + b for a in rest for b in rest}) * (2 * _width(col) + 1))
-    axis = sizes.index(min(sizes))
-    col, low, unit = cols[axis], min(cols[axis]), base**axis
     scale = math.lcm(*(c.denominator for c in terms.values()))
     coeffs = [int(c * scale) for c in terms.values()]
-    width = (sum(map(abs, coeffs)) ** N).bit_length() + 1
-    rows = {}
-    for k, e, c in zip(keys, col, coeffs):
-        rows[k - e * unit] = rows.get(k - e * unit, 0) + (c << width * (e - low))
-    full = len({a + b for a in keys for b in keys})
-    pays = 2 * full >= sizes[axis] and len(rows) > 1 and (K * _width(col) + 1) * width <= 1 << 14
-    return rows, width, -low, scale, pays
+    S, K = sum(map(abs, coeffs)), (N + 1) // 2
+    if len(terms) > 1 and N * (S.bit_length() - 1) < _ROW_BITS:
+        cols = _narrowed(terms)
+        base = 2 * max(max(map(abs, col)) for col in cols) * max(K, 2) + 1
+        keys = [pack_exponents(p, base) for p in zip(*cols)]
+        rests = [{k - e * base**axis for k, e in zip(keys, col)} for axis, col in enumerate(cols)]
+        # per axis: rows of supp(f f) times its span
+        sizes = [len({a + b for a in rest for b in rest}) * (2 * _width(col) + 1)
+                 for rest, col in zip(rests, cols)]
+        axis = sizes.index(min(sizes))
+        col, low, unit = cols[axis], min(cols[axis]), base**axis
+        if 2 * len({a + b for a in keys for b in keys}) >= sizes[axis] and len(rests[axis]) > 1:
+            width = (S**N).bit_length() + 1
+            if (K * _width(col) + 1) * width <= _ROW_BITS:
+                rows = {}
+                for k, e, c in zip(keys, col, coeffs):
+                    rows[k - e * unit] = rows.get(k - e * unit, 0) + (c << width * (e - low))
+                return rows, width, -low, scale
+    base = 2 * max((abs(x) for exps in terms for x in exps), default=0) * K + 1
+    return {pack_exponents(exps, base): c for exps, c in zip(terms, coeffs)}, 0, 0, scale
 
 
 def constant_term_series_mitm(f, N):

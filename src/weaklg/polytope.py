@@ -222,12 +222,22 @@ def newton_polytope(f):
     return convex_hull(f.support())
 
 
+# The most points of a bounding box that lattice_points walks: a huge
+# coordinate in an input file would otherwise run without end, or overflow
+# itertools.product.  The polytopes of the catalog and the tests need at most
+# a few thousand; a 100 x 100 x 100 box takes about 10 s (Python 3.11).
+_BOX_POINTS = 10**6
+
+
 def lattice_points(P, strict=False):
     """All lattice points of P (strictly interior ones when strict is set)."""
     ranges = []
     for i in range(P.dimension):
         coords = [v[i] for v in P.vertices]
         ranges.append(range(math.floor(min(coords)), math.ceil(max(coords)) + 1))
+    box = math.prod(r.stop - r.start for r in ranges)
+    if box > _BOX_POINTS:
+        raise ValueError(f"the bounding box holds {box} lattice points, over {_BOX_POINTS}")
     return tuple(p for p in itertools.product(*ranges) if P.contains(p, strict=strict))
 
 

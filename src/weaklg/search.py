@@ -531,25 +531,6 @@ def _crt(residues, primes):
     return value % modulus, modulus
 
 
-def _symmetric_lifts(residue, modulus, height):
-    """Integer lifts in [-height, height], symmetric representative first."""
-    s = residue % modulus
-    if s > modulus // 2:
-        s -= modulus
-    out = []
-    step = 0
-    while True:
-        low, high = s - step * modulus, s + step * modulus
-        if low < -height and high > height:
-            break
-        if -height <= low <= height:
-            out.append(low)
-        if step and -height <= high <= height:
-            out.append(high)
-        step += 1
-    return out
-
-
 def _assemble(ansatz, undetermined, values):
     terms = {}
     for spec in ansatz.orbits:
@@ -598,7 +579,8 @@ def lift_and_verify(per_prime, ansatz, config):
             if spec.domain.kind == "choice":
                 options = [v for v in spec.domain.values if v % modulus == value]
             else:
-                options = _symmetric_lifts(value, modulus, config.height)
+                height = config.height
+                options = range(-height + (value + height) % modulus, height + 1, modulus)
             if not options:
                 range_blocked += spec.domain.kind != "choice"
                 break

@@ -189,6 +189,14 @@ def test_polytope_vertex_file_with_ragged_rows(tmp_path, capsys):
     assert err == "error: line 2: vertex has 2 coordinates, expected 3\n"
 
 
+def test_polytope_with_a_huge_coordinate_exits_2(tmp_path, capsys):
+    segment = tmp_path / "segment.txt"
+    segment.write_text("-1\n99999999999999999999\n")
+    assert main(["polytope", "-p", str(segment)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the bounding box holds 100000000000000000001 lattice points, over 1000000\n"
+
+
 def test_search_ansatz_with_ragged_rows(tmp_path, capsys):
     ragged = tmp_path / "ragged.ansatz"
     ragged.write_text("1 0 0 : a : free\n0 1 : b : free\n")

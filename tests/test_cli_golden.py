@@ -11,6 +11,7 @@ in the change log.
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 from weaklg import catalog
 from weaklg.cli import main
@@ -61,6 +62,11 @@ def _write_inputs(directory):
     files["toy.ansatz"] = "# dim 1\n1 : apex : fixed 1\n-1 : tail : free\n"
     files["tall.series"] = constant_term_series(LaurentPoly(1, {(1,): 1, (-1,): 6}), 8).to_text()
     files["V18.ansatz"] = _orbit_ansatz(catalog.builtin("V18").model)
+    files["simplex.poly"] = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+                                            (-1, -1, -1): 1}).to_text()
+    files["fractions.poly"] = LaurentPoly(2, {(1, 0): Fraction(2, 3), (-1, 0): Fraction(-5, 7),
+                                              (0, 1): 3, (0, -1): Fraction(1, 2),
+                                              (1, -1): -2, (0, 0): Fraction(1, 4)}).to_text()
     for name, text in files.items():
         (directory / name).write_text(text)
 
@@ -92,6 +98,9 @@ COMMANDS = {
     "fit-V22": ["fit", "-s", "V22.series", "-m", "3", "-r", "4"],
     "series-V18": ["series", "-f", "V18.poly", "-N", "12"],
     "series-V16-mitm": ["series", "-f", "V16.poly", "-N", "10", "--mitm"],
+    "series-V16-shallow": ["series", "-f", "V16.poly", "-N", "4"],
+    "series-simplex": ["series", "-f", "simplex.poly", "-N", "12"],
+    "series-fractions": ["series", "-f", "fractions.poly", "-N", "6"],
     "solve-V22": ["solve", "-L", "V22.op", "-N", "15"],
     "search-toy": ["search", "-a", "toy.ansatz", "-s", "toy.series",
                    "--prime", "7", "--prime", "11", "--height", "5"],
@@ -111,10 +120,11 @@ def _digest(text):
 
 EMPTY = _digest("")
 
-# Recorded before the elimination in `linalg` was unified, and the polygon,
+# Recorded before the elimination in `linalg` was unified, the polygon,
 # hexagon, segment and fractional-dual rows before the volume moved onto the
-# hull's boundary triangulation; name: (exit code, sha256 of stdout, sha256 of
-# stderr).
+# hull's boundary triangulation, and the three shallow or sparse series rows
+# before plain keys became one-slot rows; name: (exit code, sha256 of
+# stdout, sha256 of stderr).
 GOLDEN = {
     "catalog-list": (0, "405b952b2a14d823ed71ab3269ffc4e6d3049bb7aad191d012cdcc88c6ec1822", EMPTY),
     "catalog-show-V16": (0, "1dc37f7ac9e828a985a4ddf020905a8a6fc5253855e60c022e8ffa0c04a1d7d9", EMPTY),
@@ -141,6 +151,9 @@ GOLDEN = {
     "fit-V22": (0, "f29772d207f4d997d505d2091e5ef4536a437b0dd6125e6d8f7db2ef4604a0d6", EMPTY),
     "series-V18": (0, "88f3075e5cd1d2b5f7822c9cf3b24eb0babb9349204f8eb42bc4adc7af743eec", EMPTY),
     "series-V16-mitm": (0, "134d9f1332ce1c2cfe533d185c458929b8e008534a12f94c001d244bfc008335", EMPTY),
+    "series-V16-shallow": (0, "ac6be03b2f1cfd33e7cf662ef0c0fb4d362c76ed8a98e429c8da77ec71346dae", EMPTY),
+    "series-simplex": (0, "a7a635ee4b2c6c8b07035adb56dac944ff5abf6f842893f28046aa8a9856e475", EMPTY),
+    "series-fractions": (0, "bcf61847b3c4b507484c0199ac162f892d3df636ed465da259bf0445f6c6d446", EMPTY),
     "solve-V22": (0, "5adadaec14c7f24fd8103a9e3b0b5143a9104f473ef18561574dd8667c727f0d", EMPTY),
     "search-toy": (0, "da6928f7edceea0201d29e770da1f0e59511cac4092080df880846c3d4a17c8c", EMPTY),
     "search-height-bound": (4, "7731841f1cc021a6c4e63013cfda3a79c36e0a929a9fedb087b752ca066cd5e6", "f09aff3219f883372bb411419d6f17e16eb2c0a70e5a0ebbdaf5e17f93d965db"),

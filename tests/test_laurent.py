@@ -256,9 +256,9 @@ def test_series_memory_holds_two_consecutive_powers(monkeypatch):
 
     The last product alone allocates f^12; keeping f^0..f^12 alive costs
     about 2.3 times that, two powers about 1.5 times.  The bound is sized
-    for plain keys, so the series is held to them.
+    for one-slot rows, so the series is held to them.
     """
-    _forced(monkeypatch, False)
+    _one_slot_rows(monkeypatch)
     f = catalog.builtin("V16").model
     base = 2 * max(abs(x) for exps in f.term_map() for x in exps) * 12 + 1
     packed = {pack_exponents(exps, base): c for exps, c in f.term_map().items()}
@@ -352,14 +352,9 @@ def test_series_edge_cases_against_bruteforce():
             _assert_both_entry_points_match_bruteforce(f, N)
 
 
-def _forced(monkeypatch, pays):
-    """Make constant_term_series take the Kronecker rows (pays=True) or plain keys."""
-    rows = laurent._kronecker_rows
-
-    def forced(terms, N):
-        packing = rows(terms, N)
-        return packing and packing[:-1] + (pays,)
-    monkeypatch.setattr(laurent, "_kronecker_rows", forced)
+def _one_slot_rows(monkeypatch):
+    """Hold _rows to one-slot rows: no Kronecker row fits in 0 bits."""
+    monkeypatch.setattr(laurent, "_ROW_BITS", 0)
 
 
 def test_both_packings_against_bruteforce(monkeypatch):
@@ -378,22 +373,31 @@ def test_both_packings_against_bruteforce(monkeypatch):
         LaurentPoly(2, {(1, 1): 1, (2, 1): -1, (1, 2): 2, (2, 2): Fraction(1, 2)}),
         LaurentPoly(2, {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}),
     ]
-    for f in cases:
+    kronecker = set()
+    for k, f in enumerate(cases):
         for N in (0, 1, 2, 5, 6):
             want = phi_bruteforce(f, N)
-            for pays in (True, False):
+            for one_slot in (False, True):
                 with monkeypatch.context() as m:
-                    _forced(m, pays)
-                    assert list(constant_term_series(f, N)) == want, (f.terms(), N, pays)
-    assert laurent._kronecker_rows(cases[6]._terms, 6)[2] < 0
-    assert laurent._kronecker_rows(LaurentPoly.zero(2)._terms, 4) is None
+                    if one_slot:
+                        _one_slot_rows(m)
+                    assert list(constant_term_series(f, N)) == want, (f.terms(), N, one_slot)
+                    width = laurent._rows(f._terms, N)[1]
+                    assert not (one_slot and width)
+                    if width:
+                        kronecker.add(k)
+    # one row, one term, the zero polynomial and a sparse square (supp(f f)
+    # fills 9 of 25 cells) stay on one-slot rows
+    assert kronecker == {0, 1, 2, 6}
+    assert laurent._rows(cases[6]._terms, 6)[2] < 0
+    assert laurent._rows(LaurentPoly.zero(2)._terms, 4) == ({}, 0, 0, 1)
 
 
 def test_kronecker_rows_pack_full_supports_only():
     for name in ("V16", "V18", "V22"):
         f = catalog.builtin(name).model
         for N in (8, 13, 24):
-            assert laurent._kronecker_rows(f._terms, N)[-1], (name, N)
+            assert laurent._rows(f._terms, N)[1], (name, N)
     sparse = [
         (LaurentPoly(2, {(200, 0): 1, (-200, 0): 1, (0, 1): 1, (0, -1): 1}), 20),
         (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1}), 40),
@@ -401,7 +405,17 @@ def test_kronecker_rows_pack_full_supports_only():
         (catalog.builtin("V16").model, 80),
     ]
     for f, N in sparse:
-        assert not laurent._kronecker_rows(f._terms, N)[-1], (f.terms(), N)
+        assert laurent._rows(f._terms, N)[1] == 0, (f.terms(), N)
+
+
+def test_huge_depths_take_one_slot_rows_without_building_s_to_the_n():
+    """At N = 10^12, S^N would have terabits; the layout is decided at once."""
+    sparse = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
+    for f in (sparse, catalog.builtin("V16").model):
+        start = time.perf_counter()
+        rows, width, h, scale = laurent._rows(f._terms, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert (len(rows), width, h, scale) == (len(f), 0, 0, 1)
 
 
 def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
@@ -410,7 +424,7 @@ def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
     rng = random.Random(24)
     for _ in range(3):
         g = substitute_monomial(f, random_unimodular(rng))
-        assert laurent._kronecker_rows(g._terms, 24)[-1]
+        assert laurent._rows(g._terms, 24)[1]
         assert constant_term_series(g, 24) == want
 
 

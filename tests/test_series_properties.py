@@ -1,7 +1,7 @@
 """Property test of the series engine against the nested-loop oracle.
 
-Small random Laurent polynomials reach both the Kronecker rows and the plain
-packed keys of `constant_term_series`; either way the series must equal
+Small random Laurent polynomials reach both the Kronecker rows and the
+one-slot rows of `constant_term_series`; either way the series must equal
 `corpus.phi_bruteforce`.
 """
 
