@@ -1,13 +1,14 @@
 """Bundled reference records and a small file format for user records.
 
 Three rank-1 Fano threefold records (V16, V18, V22) carry their operators and
-candidate toric models exactly as transcribed; the tables are expanded from
-the factored presentations at import time with exact arithmetic, and a
-transcription self-check runs on import.  The V22 record is special: its
-stored operator is known not to match its model's series (the mismatch is
-part of the record, machine readable under `known-discrepancy`), and a
-separately labeled derived operator carries the annihilator recovered by
-fitting the model's series.
+candidate toric models exactly as transcribed.  All five builtin records are
+stored at the end of this module as catalog-format text, each operator with
+its factored form as a comment; `loads`, the reader of user records, reads
+them at import time, and a transcription self-check runs on the result.
+The V22 record is special: its stored operator is known not to match its
+model's series (the mismatch is part of the record, machine readable under
+`known-discrepancy`), and a separately labeled derived operator carries the
+annihilator recovered by fitting the model's series.
 
 Two toric sample records (P3-sample, product-of-lines-sample) anchor the
 polytope invariants; their operators annihilate their models' series and are
@@ -16,7 +17,6 @@ derived data, as their notes say.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -38,218 +38,6 @@ class FanoRecord(namedtuple(
     """
 
     __slots__ = ()
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _row(scale, factors, width):
-    """Expand scale * product(factors) into a width-padded coefficient row.
-
-    Factors are polynomials in D as ascending coefficient lists, so
-    (2D+1)(3D^2+3D+1) is _row(1, [[1, 2], [1, 3, 3]], 4).
-    """
-    poly = [1]
-    for f in factors:
-        poly = _poly_mul(poly, f)
-    poly = [Fraction(scale) * x for x in poly]
-    if len(poly) > width:
-        raise ValueError("operator row wider than declared order")
-    return poly + [0] * (width - len(poly))
-
-
-def _zero_row(width):
-    return [0] * width
-
-
-def _sym3(*pattern):
-    """All distinct permutations of a length-3 exponent pattern."""
-    return sorted(set(itertools.permutations(pattern)))
-
-
-def _build_v16_model():
-    terms = {(-1, -1, -1): 1, (0, 0, 0): 4}
-    for p in _sym3(-1, -1, 0):
-        terms[p] = 2
-    for p in _sym3(-1, 0, 0):
-        terms[p] = 3
-    for p in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-        terms[p] = 1
-    for p in _sym3(1, -1, 0):
-        terms[p] = 1
-    for p in _sym3(1, 0, 0):
-        terms[p] = 1
-    return LaurentPoly(3, terms)
-
-
-def _build_v18_model():
-    terms = {(0, 0, 0): 3}
-    for p in _sym3(-1, 0, 0):
-        terms[p] = 2
-    for p in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-        terms[p] = 1
-    for p in _sym3(1, -1, 0):
-        terms[p] = 1
-    for p in _sym3(1, 0, 0):
-        terms[p] = 1
-    return LaurentPoly(3, terms)
-
-
-def _build_v22_model():
-    points = [
-        (1, 1, -1),
-        (0, 1, -1),
-        (1, 0, -1),
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, -1),
-        (-1, 0, 0),
-        (0, -1, 0),
-        (0, 0, 1),
-        (-1, -1, 0),
-        (-1, 0, 1),
-        (0, -1, 1),
-        (-1, -1, 1),
-    ]
-    terms = {p: 1 for p in points}
-    terms[(0, 0, 0)] = 4
-    return LaurentPoly(3, terms)
-
-
-def _build_builtins():
-    w = 4
-    op16 = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _row(-4, [[1, 2], [1, 3, 3]], w),
-            _row(16, [[1, 1], [1, 1], [1, 1]], w),
-        ]
-    )
-    op18 = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _row(-3, [[1, 2], [1, 3, 3]], w),
-            _row(-27, [[1, 1], [1, 1], [1, 1]], w),
-        ]
-    )
-    op22_printed = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _row(Fraction(-2, 5), [[1, 2], [16, 17, 17]], w),
-            _row(Fraction(-56, 25), [[1, 1], [12, 22, 11]], w),
-            _row(Fraction(-126, 125), [[1, 1], [2, 1], [3, 2]], w),
-            _row(Fraction(-1504, 625), [[1, 1], [2, 1], [3, 1]], w),
-        ]
-    )
-    op22_derived = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _row(-2, [[1, 2], [2, 5, 5]], w),
-            _row(8, [[1, 1], [8, 14, 7]], w),
-            _row(-22, [[1, 1], [2, 1], [3, 2]], w),
-        ]
-    )
-    op_p3 = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _zero_row(w),
-            _zero_row(w),
-            _zero_row(w),
-            _row(-256, [[1, 1], [2, 1], [3, 1]], w),
-        ]
-    )
-    op_lines = DOperator(
-        [
-            _row(1, [[0, 0, 0, 1]], w),
-            _zero_row(w),
-            _row(-8, [[1, 1], [6, 10, 5]], w),
-            _zero_row(w),
-            _row(144, [[1, 1], [2, 1], [3, 1]], w),
-        ]
-    )
-    p3_model = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
-    lines_model = LaurentPoly(
-        3,
-        {
-            (1, 0, 0): 1,
-            (-1, 0, 0): 1,
-            (0, 1, 0): 1,
-            (0, -1, 0): 1,
-            (0, 0, 1): 1,
-            (0, 0, -1): 1,
-        },
-    )
-    records = [
-        FanoRecord(
-            name="V16",
-            genus=9,
-            degree=16,
-            h0=11,
-            picard_rank=1,
-            operator=op16,
-            model=_build_v16_model(),
-            notes="rank-1 threefold of genus 9; the model's constant-term series"
-            " solves the stored operator",
-        ),
-        FanoRecord(
-            name="V18",
-            genus=10,
-            degree=18,
-            h0=12,
-            picard_rank=1,
-            operator=op18,
-            model=_build_v18_model(),
-            notes="rank-1 threefold of genus 10; the model's constant-term series"
-            " solves the stored operator",
-        ),
-        FanoRecord(
-            name="V22",
-            genus=12,
-            degree=22,
-            h0=14,
-            picard_rank=1,
-            operator=op22_printed,
-            model=_build_v22_model(),
-            derived_operator=op22_derived,
-            known_discrepancy="stored operator has a_1 = 32/5 but the model series"
-            " starts 1, 4, 28; no single t-rescaling fixes orders 1 and 2 together;"
-            " the derived operator is the fit to the model series",
-            notes="rank-1 threefold of genus 12; the stored operator is kept exactly"
-            " as transcribed and does not annihilate the model series (see"
-            " known-discrepancy); the derived operator does",
-        ),
-        FanoRecord(
-            name="P3-sample",
-            genus=33,
-            degree=64,
-            h0=35,
-            picard_rank=1,
-            operator=op_p3,
-            model=p3_model,
-            notes="projective 3-space anchor for the polytope invariants; operator"
-            " derived by fitting the model's series, not transcribed data",
-        ),
-        FanoRecord(
-            name="product-of-lines-sample",
-            genus=25,
-            degree=48,
-            h0=27,
-            picard_rank=3,
-            operator=op_lines,
-            model=lines_model,
-            notes="triple product of lines, the rank-3 anchor; operator derived by"
-            " fitting the model's series, not transcribed data",
-        ),
-    ]
-    return {rec.name: rec for rec in records}
-
-
-_BUILTINS = _build_builtins()
 
 
 def names():
@@ -279,9 +67,6 @@ def _self_check():
     if solve_series(v22.operator, 1)[1] != Fraction(32, 5):
         raise RuntimeError("catalog corrupted: V22 stored operator no longer shows"
                            " the recorded discrepancy")
-
-
-_self_check()
 
 
 _META_KEYS = ("name", "genus", "degree", "h0", "picard-rank", "known-discrepancy")
@@ -408,3 +193,170 @@ def load(path):
 def save(record, path):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps(record))
+
+
+# The builtin records in the catalog format, separated by blank lines.  Each
+# operator section keeps the operator's factored form as a comment.
+_RECORDS = """\
+[meta]
+name: V16
+genus: 9
+degree: 16
+h0: 11
+picard-rank: 1
+[operator]
+# D^3 - 4t(2D+1)(3D^2+3D+1) + 16t^2(D+1)^3
+order 3, tdeg 2
+0 0 0 1
+-4 -20 -36 -24
+16 48 48 16
+[model]
+# dim 3
+1 : -1 -1 -1
+2 : -1 -1 0
+1 : -1 -1 1
+2 : -1 0 -1
+3 : -1 0 0
+1 : -1 0 1
+1 : -1 1 -1
+1 : -1 1 0
+2 : 0 -1 -1
+3 : 0 -1 0
+1 : 0 -1 1
+3 : 0 0 -1
+4 : 0 0 0
+1 : 0 0 1
+1 : 0 1 -1
+1 : 0 1 0
+1 : 1 -1 -1
+1 : 1 -1 0
+1 : 1 0 -1
+1 : 1 0 0
+[notes]
+rank-1 threefold of genus 9; the model's constant-term series solves the stored operator
+
+[meta]
+name: V18
+genus: 10
+degree: 18
+h0: 12
+picard-rank: 1
+[operator]
+# D^3 - 3t(2D+1)(3D^2+3D+1) - 27t^2(D+1)^3
+order 3, tdeg 2
+0 0 0 1
+-3 -15 -27 -18
+-27 -81 -81 -27
+[model]
+# dim 3
+1 : -1 -1 1
+2 : -1 0 0
+1 : -1 0 1
+1 : -1 1 -1
+1 : -1 1 0
+2 : 0 -1 0
+1 : 0 -1 1
+2 : 0 0 -1
+3 : 0 0 0
+1 : 0 0 1
+1 : 0 1 -1
+1 : 0 1 0
+1 : 1 -1 -1
+1 : 1 -1 0
+1 : 1 0 -1
+1 : 1 0 0
+[notes]
+rank-1 threefold of genus 10; the model's constant-term series solves the stored operator
+
+[meta]
+name: V22
+genus: 12
+degree: 22
+h0: 14
+picard-rank: 1
+known-discrepancy: stored operator has a_1 = 32/5 but the model series starts 1, 4, 28; no single t-rescaling fixes orders 1 and 2 together; the derived operator is the fit to the model series
+[operator]
+# D^3 - (2/5)t(2D+1)(17D^2+17D+16) - (56/25)t^2(D+1)(11D^2+22D+12) - (126/125)t^3(D+1)(D+2)(2D+3) - (1504/625)t^4(D+1)(D+2)(D+3)
+order 3, tdeg 4
+0 0 0 1
+-32/5 -98/5 -102/5 -68/5
+-672/25 -1904/25 -1848/25 -616/25
+-756/125 -1638/125 -1134/125 -252/125
+-9024/625 -16544/625 -9024/625 -1504/625
+[derived-operator]
+# D^3 - 2t(2D+1)(5D^2+5D+2) + 8t^2(D+1)(7D^2+14D+8) - 22t^3(D+1)(D+2)(2D+3)
+order 3, tdeg 3
+0 0 0 1
+-4 -18 -30 -20
+64 176 168 56
+-132 -286 -198 -44
+[model]
+# dim 3
+1 : -1 -1 0
+1 : -1 -1 1
+1 : -1 0 0
+1 : -1 0 1
+1 : 0 -1 0
+1 : 0 -1 1
+1 : 0 0 -1
+4 : 0 0 0
+1 : 0 0 1
+1 : 0 1 -1
+1 : 0 1 0
+1 : 1 0 -1
+1 : 1 0 0
+1 : 1 1 -1
+[notes]
+rank-1 threefold of genus 12; the stored operator is kept exactly as transcribed and does not annihilate the model series (see known-discrepancy); the derived operator does
+
+[meta]
+name: P3-sample
+genus: 33
+degree: 64
+h0: 35
+picard-rank: 1
+[operator]
+# D^3 - 256t^4(D+1)(D+2)(D+3)
+order 3, tdeg 4
+0 0 0 1
+0 0 0 0
+0 0 0 0
+0 0 0 0
+-1536 -2816 -1536 -256
+[model]
+# dim 3
+1 : -1 -1 -1
+1 : 0 0 1
+1 : 0 1 0
+1 : 1 0 0
+[notes]
+projective 3-space anchor for the polytope invariants; operator derived by fitting the model's series, not transcribed data
+
+[meta]
+name: product-of-lines-sample
+genus: 25
+degree: 48
+h0: 27
+picard-rank: 3
+[operator]
+# D^3 - 8t^2(D+1)(5D^2+10D+6) + 144t^4(D+1)(D+2)(D+3)
+order 3, tdeg 4
+0 0 0 1
+0 0 0 0
+-48 -128 -120 -40
+0 0 0 0
+864 1584 864 144
+[model]
+# dim 3
+1 : -1 0 0
+1 : 0 -1 0
+1 : 0 0 -1
+1 : 0 0 1
+1 : 0 1 0
+1 : 1 0 0
+[notes]
+triple product of lines, the rank-3 anchor; operator derived by fitting the model's series, not transcribed data
+"""
+
+_BUILTINS = {rec.name: rec for rec in map(loads, _RECORDS.split("\n\n"))}
+_self_check()

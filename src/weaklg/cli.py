@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import catalog as _catalog
 from .dseries import DOperator, fit_operator, solve_series, verify_weak_lg
@@ -213,7 +214,13 @@ def _cmd_polytope(args):
         P = newton_polytope(record.model)
     else:
         raise _UsageError("polytope needs one of -p, -f, --catalog")
-    expected = _catalog.load(args.expect) if args.expect else record
+    expected = record
+    if args.expect:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = _catalog.load(args.expect)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     report = invariant_report(P, expected)
     sys.stdout.write(report.to_document())
     if args.pretty:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,8 @@ from weaklg import catalog
 from weaklg.cli import main
 from weaklg.dseries import DOperator, solve_series
 from weaklg.laurent import LaurentPoly, constant_term_series
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -380,6 +385,24 @@ def test_polytope_expect_file_overrides_catalog(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "mismatch.degree: expected 60, computed 16" in out
+
+
+@pytest.mark.parametrize("filters", [None, "error"])
+def test_record_warning_is_one_plain_stderr_line(tmp_path, filters):
+    """Also under PYTHONWARNINGS=error: the warning is reported, not raised."""
+    bad = tmp_path / "bad.rec"
+    bad.write_text(catalog.dumps(catalog.builtin("V16")._replace(degree=17)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONWARNINGS", None)
+    if filters:
+        env["PYTHONWARNINGS"] = filters
+    run = subprocess.run(
+        [sys.executable, "-m", "weaklg.cli", "polytope", "--catalog", "V16", "--expect", "bad.rec"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 3
+    assert "mismatch.degree: expected 17, computed 16\n" in run.stdout
+    assert run.stderr == "warning: record 'V16': degree 17 is not 2*genus-2 = 16\n"
 
 
 def test_polytope_source_usage_errors(tmp_path, v16_files, capsys):

@@ -47,6 +47,7 @@ def _write_inputs(directory):
         files[f"{name}.poly"] = rec.model.to_text()
         files[f"{name}.op"] = rec.operator.to_text()
     files["V16.rec"] = catalog.dumps(catalog.builtin("V16"))
+    files["bad-degree.rec"] = catalog.dumps(catalog.builtin("V16")._replace(degree=17))
     files["V16.series"] = solve_series(catalog.builtin("V16").operator, 25).to_text()
     files["V22.series"] = constant_term_series(catalog.builtin("V22").model, 30).to_text()
     for seed, size in ((1, 12), (2, 18), (3, 24)):
@@ -67,6 +68,14 @@ def _write_inputs(directory):
     files["fractions.poly"] = LaurentPoly(2, {(1, 0): Fraction(2, 3), (-1, 0): Fraction(-5, 7),
                                               (0, 1): 3, (0, -1): Fraction(1, 2),
                                               (1, -1): -2, (0, 0): Fraction(1, 4)}).to_text()
+    # Straub's model of the Apery numbers and the operator that annihilates
+    # its series, D^3 - t(34D^3+51D^2+27D+5) + t^2(D+1)^3.
+    files["apery.poly"] = (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+                           * LaurentPoly(3, {(0, 0, 1): 1, (0, 0, 0): 1})
+                           * LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+                           * LaurentPoly(3, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+                           * LaurentPoly.monomial(3, (-1, -1, -1))).to_text()
+    files["apery.op"] = "order 3, tdeg 2\n0 0 0 1\n-5 -27 -51 -34\n1 3 3 1\n"
     for name, text in files.items():
         (directory / name).write_text(text)
 
@@ -75,13 +84,16 @@ def _write_inputs(directory):
 COMMANDS = {
     "catalog-list": ["catalog", "list"],
     "catalog-show-V16": ["catalog", "show", "V16"],
+    "catalog-show-V18": ["catalog", "show", "V18"],
     "catalog-show-V22": ["catalog", "show", "V22"],
+    "catalog-show-P3": ["catalog", "show", "P3-sample"],
     "catalog-show-lines": ["catalog", "show", "product-of-lines-sample"],
     "verify-V16": ["verify", "--catalog", "V16", "-N", "10"],
     "verify-V18-pretty": ["verify", "--catalog", "V18", "-N", "10", "--pretty"],
     "verify-V22-mismatch": ["verify", "--catalog", "V22", "-N", "8"],
     "verify-V22-derived": ["verify", "--catalog", "V22", "--derived", "-N", "10"],
     "verify-files": ["verify", "-f", "V16.poly", "-L", "V16.op", "-N", "8"],
+    "verify-apery": ["verify", "-f", "apery.poly", "-L", "apery.op", "-N", "20"],
     "polytope-V16": ["polytope", "--catalog", "V16"],
     "polytope-V18-pretty": ["polytope", "--catalog", "V18", "--pretty"],
     "polytope-V22": ["polytope", "--catalog", "V22"],
@@ -90,6 +102,7 @@ COMMANDS = {
     "polytope-pts2": ["polytope", "-p", "pts2.vert", "--pretty"],
     "polytope-pts3": ["polytope", "-p", "pts3.vert"],
     "polytope-expect-mismatch": ["polytope", "-f", "V22.poly", "--expect", "V16.rec"],
+    "polytope-expect-bad-degree": ["polytope", "--catalog", "V16", "--expect", "bad-degree.rec"],
     "polytope-polygon": ["polytope", "-p", "polygon.vert"],
     "polytope-hexagon-pretty": ["polytope", "-p", "hexagon.vert", "--pretty"],
     "polytope-segment": ["polytope", "-p", "segment.vert"],
@@ -122,19 +135,24 @@ EMPTY = _digest("")
 
 # Recorded before the elimination in `linalg` was unified, the polygon,
 # hexagon, segment and fractional-dual rows before the volume moved onto the
-# hull's boundary triangulation, and the three shallow or sparse series rows
-# before plain keys became one-slot rows; name: (exit code, sha256 of
-# stdout, sha256 of stderr).
+# hull's boundary triangulation, the three shallow or sparse series rows
+# before plain keys became one-slot rows, the catalog-show-V18,
+# catalog-show-P3 and verify-apery rows before the builtin records became
+# catalog text, and the bad-degree row after record warnings became one
+# plain stderr line; name: (exit code, sha256 of stdout, sha256 of stderr).
 GOLDEN = {
     "catalog-list": (0, "405b952b2a14d823ed71ab3269ffc4e6d3049bb7aad191d012cdcc88c6ec1822", EMPTY),
     "catalog-show-V16": (0, "1dc37f7ac9e828a985a4ddf020905a8a6fc5253855e60c022e8ffa0c04a1d7d9", EMPTY),
+    "catalog-show-V18": (0, "228fd3baa6523af0d99dab638413dda30d9110e63e4f2b65e15f0d90bf62a266", EMPTY),
     "catalog-show-V22": (0, "976ad1692ca1f34161b9ac1b2198e6aaec6a61a35403921def2ae1df6741d203", EMPTY),
+    "catalog-show-P3": (0, "e49db7106cc71fb1d9d34cd7f5074e6ab720533a2cafec825a0ef59b522663ce", EMPTY),
     "catalog-show-lines": (0, "9ff7027a7fbc5d79ce56117aec12afc24ccfa9dd19ae91d20d5378ce615b49ea", EMPTY),
     "verify-V16": (0, "66700813a0733331affa1a5b4f6f9544686479948df72d3fc99d2be70f3f617b", EMPTY),
     "verify-V18-pretty": (0, "becd3983f404d8bcfdcbe64ef5c61c5e8143003ec3e866c2abb15addcff53b28", EMPTY),
     "verify-V22-mismatch": (3, "9e536736e681d67d3663553b915d55072fc39f082fac986a5799d491ca1c3584", EMPTY),
     "verify-V22-derived": (0, "cabb3ad7dfb62ae192686139f3bf1c046d9b50c250516a7bc1c7bb3472a32a52", EMPTY),
     "verify-files": (0, "1574847a5b8f72eb9e640a7dc06143e6abea023f6e5e29a5ad7c0ed94992e3e5", EMPTY),
+    "verify-apery": (0, "95c21cc4e1249fdd7e661b70873f89e1cf27e3882735b09a1a1f92a70a5261bd", EMPTY),
     "polytope-V16": (0, "75647ae06064fa42c9e7821c43b40d7d1fdaa31652f4c572c965ac65b41ef37f", EMPTY),
     "polytope-V18-pretty": (0, "4826c83ecb7fbbe9c5c422dd0214af32c04b22e938951c294e521381a935b03b", EMPTY),
     "polytope-V22": (0, "1b82d4210a404dc7f038980f45dc5242d945b0392f5a1691ab413b1fc0ae3125", EMPTY),
@@ -143,6 +161,7 @@ GOLDEN = {
     "polytope-pts2": (0, "f54646f1f8537af74423ecfeb7c2d167669d17c78cc322538c909b64e337c7bc", EMPTY),
     "polytope-pts3": (0, "ebbbf60c96560af2fc1b48a5e752912c2f8de675ddc139f24a42ef02186319b0", EMPTY),
     "polytope-expect-mismatch": (3, "1d8beaaeee207b0c53380204539dac9317c1f3a74538d1ecca4e8b52712d04b6", EMPTY),
+    "polytope-expect-bad-degree": (3, "d8d869aca1bc6a8393de1e57f549d254f9eadfa1021309ccb652596fc88832f3", "10e1d1944d9c87c01827ef0dfaf1b6e0d3cf173ca203783bd6c9bc9f038db267"),
     "polytope-polygon": (0, "b64b75ccf089a08a074f4d787cfa9099f5d3c6f0617b391a730c481545aa5070", EMPTY),
     "polytope-hexagon-pretty": (0, "4d4a9c6c3cae1d90a239e4a6867114e47fb21802c772d6c1fab9953c69129a60", EMPTY),
     "polytope-segment": (0, "5d4c504af28a88f403b44578ab0d78e41b48cd39f7edb86d087ab82e94aff9a3", EMPTY),

@@ -143,6 +143,18 @@ def test_fit_recovers_operator_in_its_exact_window():
     assert basis[0].is_scalar_multiple(L16)
 
 
+def test_fit_recovers_aperys_operator_from_straubs_model():
+    """D^3 - t(34D^3+51D^2+27D+5) + t^2(D+1)^3 is the only (3, 2) fit."""
+    straub = (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+              * LaurentPoly(3, {(0, 0, 1): 1, (0, 0, 0): 1})
+              * LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+              * LaurentPoly(3, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+              * LaurentPoly.monomial(3, (-1, -1, -1)))
+    basis = fit_operator(constant_term_series(straub, 20), 3, 2)
+    assert len(basis) == 1
+    assert basis[0].table == ((0, 0, 0, 1), (-5, -27, -51, -34), (1, 3, 3, 1))
+
+
 def _flat(op, r):
     rows = list(op.table) + [(0,) * (op.order + 1)] * (r - op.t_degree)
     return [x for row in rows for x in row]
