@@ -96,7 +96,7 @@ def dumps(record):
     return "\n".join(lines) + "\n"
 
 
-def loads(text):
+def _parse(text):
     sections = {}
     current = None
     start_line = {}
@@ -176,18 +176,26 @@ def loads(text):
         known_discrepancy=meta["known-discrepancy"][1] if "known-discrepancy" in meta else None,
         notes=notes,
     )
+    return record
+
+
+def _warn_on_degree(record):
     if record.degree != 2 * record.genus - 2:
         warnings.warn(
             f"record {record.name!r}: degree {record.degree} is not 2*genus-2"
             f" = {2 * record.genus - 2}",
-            stacklevel=2,
+            stacklevel=3,  # the caller of loads or load
         )
     return record
 
 
+def loads(text):
+    return _warn_on_degree(_parse(text))
+
+
 def load(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        return _warn_on_degree(_parse(handle.read()))
 
 
 def save(record, path):

@@ -3,24 +3,28 @@
 The problem comes in as a support ansatz (points grouped into symmetry
 orbits, one unknown coefficient per orbit, some orbits pinned to fixed
 values) plus a target series prefix.  With the support fixed, each constant
-term phi(r) is a polynomial of degree r in the orbit coefficients.  Each
-call of search_mod_p or lift_and_verify builds these level polynomials
+term phi(r) is a polynomial of degree r in the orbit coefficients.  One
+SearchConfig (target, primes, height, depths) drives both stages.  Each call
+of search_mod_p or lift_and_verify builds these level polynomials
 phi(1..depth) from one expansion in which every orbit coefficient is a
-variable, and reads off it both the level where each orbit enters and
-phi(r) with the fixed values substituted.
+variable, and reads off it both the level where each orbit enters and phi(r)
+with the fixed values substituted; search_mod_p searches every configured
+prime from that expansion.
 The search enumerates orbit coefficients modulo one or more primes, pruning
 level by level: phi(r) only involves orbits whose points can take part in a
 zero-sum r-fold product, so orbits are brought in exactly when they first
 matter and each partial assignment is tested by evaluating phi(r) mod p.
 Surviving residue assignments are lifted to integers within a height bound
-(CRT across primes first).  Each lift must first satisfy phi(1..depth)
-exactly, then its full constant-term series is verified with the rational
-engine, so nothing modular is ever trusted in the output.
+(CRT across primes first), at most MAX_LIFTS of them.  Each lift must
+first satisfy phi(1..depth) exactly, then its full constant-term series is
+verified with the rational engine, so nothing modular is ever trusted in the
+output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -428,43 +432,34 @@ def _undetermined(ansatz):
 # large prime.
 MAX_PARTIAL_ASSIGNMENTS = 1_000_000
 
+# Lifts lift_and_verify may try: a bound on its time, checked before the
+# first lift against the most lifts the residue combinations can have.  A
+# lift the phi(1..depth) pre-check rejects costs about 1 us in Python 3.11:
+# the all-free S3-orbit search of V18 at p = 11, depth 5 tries 53220 lifts
+# at height 30 in 0.05 s and 7593750 at height 82 in 7.0 s, so a refused
+# search would have run for about 10 s or more.  More primes shrink the
+# window each residue combination lifts into.
+MAX_LIFTS = 10_000_000
 
-def search_mod_p(ansatz, target, p, depth=None):
+
+def search_mod_p(ansatz, config):
     """All orbit-coefficient assignments over Z/p matching the target prefix.
 
-    Returns (survivors, stats).  Each survivor is a tuple of residues aligned
-    with the non-fixed orbits in ansatz order.  Pruning is level by level in
-    r, evaluating the level polynomial phi(r) mod p on each partial
-    assignment; when the target has a non-integral coefficient and every
-    coefficient domain is integral, that level eliminates everything (an
-    integer polynomial has integer constant terms).  An extension past
-    MAX_PARTIAL_ASSIGNMENTS partial assignments raises ValueError.
+    Returns ({p: survivors}, (PrimeStats, ...)) over config.primes, searched
+    in order from one expansion of the level polynomials phi(1..depth).  Each
+    survivor is a tuple of residues aligned with the non-fixed orbits in
+    ansatz order.  Pruning is level by level in r, evaluating phi(r) mod p on
+    each partial assignment; when the target has a non-integral coefficient
+    and every coefficient domain is integral, that level eliminates
+    everything (an integer polynomial has integer constant terms).  An
+    extension past MAX_PARTIAL_ASSIGNMENTS partial assignments raises
+    ValueError.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if depth is None:
-        depth = min(4, target.order)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if depth > target.order:
-        raise ValueError(f"target series order {target.order} is below depth {depth}")
-    if target[0] != 1:
-        raise ValueError("target series must have constant coefficient 1")
-
+    target, depth = config.target, config.depth
     integral = all(spec.domain.is_integral() for spec in ansatz.orbits)
-    residue_wanted = {}
-    unreachable = set()
-    for r in range(1, depth + 1):
-        value = Fraction(target[r])
-        if value.denominator != 1 and integral:
-            unreachable.add(r)
-        else:
-            residue_wanted[r] = _modular_residue(value, p, "target coefficient")
-    for spec in ansatz.orbits:
-        if spec.domain.kind == "fixed":
-            # every level coefficient is then defined modulo p as well
-            _modular_residue(spec.domain.values[0], p, "fixed coefficient")
-
+    unreachable = {
+        r for r in range(1, depth + 1) if integral and Fraction(target[r]).denominator != 1
+    }
     levels, first = _level_polynomials(ansatz, depth)
     undetermined = _undetermined(ansatz)
     # orbits are assigned at the level where they first matter
@@ -473,51 +468,59 @@ def search_mod_p(ansatz, target, p, depth=None):
         range(len(undetermined)), key=lambda k: (entry[k], undetermined[k][1].representative)
     )
     position = {k: pos for pos, k in enumerate(order)}
-    checks = [
-        [
-            (_modular_residue(c, p, "level coefficient"), factors)
-            for c, factors in _sparse_terms(poly, position)
+    entering = [[undetermined[k][1] for k in order if entry[k] == r] for r in range(1, depth + 2)]
+    level_terms = [_sparse_terms(poly, position) for poly in levels]
+    per_prime, prime_stats = {}, []
+    for p in config.primes:
+        residue_wanted = {
+            r: _modular_residue(target[r], p, "target coefficient")
+            for r in range(1, depth + 1) if r not in unreachable
+        }
+        for spec in ansatz.orbits:
+            if spec.domain.kind == "fixed":
+                # every level coefficient is then defined modulo p as well
+                _modular_residue(spec.domain.values[0], p, "fixed coefficient")
+        checks = [
+            [(_modular_residue(c, p, "level coefficient"), factors) for c, factors in terms]
+            for terms in level_terms
         ]
-        for poly in levels
-    ]
 
-    partials = [()]
-    assigned = 0
-    enumerated = 0
-    per_level = []
-    # level depth + 1 only assigns the orbits that never influence the prefix
-    for r in range(1, depth + 2):
-        while assigned < len(order) and entry[order[assigned]] <= r:
-            spec = undetermined[order[assigned]][1]
-            if spec.domain.kind == "free":
-                domain = range(p)
+        partials = [()]
+        enumerated = 0
+        per_level = []
+        # level depth + 1 only assigns the orbits that never influence the prefix
+        for r, specs in enumerate(entering, 1):
+            for spec in specs:
+                if spec.domain.kind == "free":
+                    domain = range(p)
+                else:
+                    domain = sorted({v % p for v in spec.domain.values})
+                # len() of a range stops at sys.maxsize, below some primes is_prime accepts
+                count = len(partials) * (p if isinstance(domain, range) else len(domain))
+                if count > MAX_PARTIAL_ASSIGNMENTS:
+                    raise ValueError(
+                        f"level {r} would hold {count} partial assignments modulo {p},"
+                        f" more than the {MAX_PARTIAL_ASSIGNMENTS} a search may hold"
+                    )
+                partials = [part + (v,) for part in partials for v in domain]
+                enumerated += len(partials)
+            if r > depth:
+                break
+            if r in unreachable:
+                partials = []
             else:
-                domain = sorted({v % p for v in spec.domain.values})
-            # len() of a range stops at sys.maxsize, below some primes is_prime accepts
-            count = len(partials) * (p if isinstance(domain, range) else len(domain))
-            if count > MAX_PARTIAL_ASSIGNMENTS:
-                raise ValueError(
-                    f"level {r} would hold {count} partial assignments modulo {p},"
-                    f" more than the {MAX_PARTIAL_ASSIGNMENTS} a search may hold"
-                )
-            partials = [part + (v,) for part in partials for v in domain]
-            enumerated += len(partials)
-            assigned += 1
-        if r > depth:
-            break
-        if r in unreachable:
-            partials = []
-        else:
-            # phi(r) only involves orbits of level <= r, all assigned by now
-            want, terms = residue_wanted[r], checks[r - 1]
-            partials = [part for part in partials if _evaluate(terms, part) % p == want]
-        per_level.append((r, len(partials)))
-        if not partials:
-            break
-    survivors = tuple(
-        sorted(tuple(part[position[k]] for k in range(len(order))) for part in partials)
-    )
-    return survivors, PrimeStats(p, depth, enumerated, tuple(per_level), len(survivors))
+                # phi(r) only involves orbits of level <= r, all assigned by now
+                want, terms = residue_wanted[r], checks[r - 1]
+                partials = [part for part in partials if _evaluate(terms, part) % p == want]
+            per_level.append((r, len(partials)))
+            if not partials:
+                break
+        survivors = tuple(
+            sorted(tuple(part[position[k]] for k in range(len(order))) for part in partials)
+        )
+        per_prime[p] = survivors
+        prime_stats.append(PrimeStats(p, depth, enumerated, tuple(per_level), len(survivors)))
+    return per_prime, tuple(prime_stats)
 
 
 def _crt(residues, primes):
@@ -553,13 +556,26 @@ def lift_and_verify(per_prime, ansatz, config):
     only when its exact constant-term series matches the target through
     config.verify_depth.
     Raises HeightBoundExceeded when residue combinations survive but not a
-    single one admits an in-range lift.
+    single one admits an in-range lift, and ValueError, before any lift,
+    when the combinations could need more than MAX_LIFTS lifts.
     """
     primes = config.primes
     for p in primes:
         if p not in per_prime:
             raise ValueError(f"missing survivor list for prime {p}")
     undetermined = _undetermined(ansatz)
+    surviving = math.prod(len(per_prime[p]) for p in primes)
+    window = -(-(2 * config.height + 1) // math.prod(primes))
+    most = surviving * math.prod(
+        len(spec.domain.values) if spec.domain.kind == "choice" else window
+        for _, spec in undetermined
+    )
+    if most > MAX_LIFTS:
+        raise ValueError(
+            f"{surviving} residue combinations modulo {'x'.join(str(p) for p in primes)}"
+            f" could need {most} lifts into [-{config.height}, {config.height}],"
+            f" more than the {MAX_LIFTS} a search may try"
+        )
     target = config.target
     prefix = target.truncate(config.verify_depth)
     levels, _ = _level_polynomials(ansatz, config.depth)
@@ -611,16 +627,11 @@ def search(ansatz, config):
     profile, even when nothing survives.  A HeightBoundExceeded raised during
     lifting carries the stats gathered so far in its `stats` attribute.
     """
-    per_prime = {}
-    prime_stats = []
-    for p in config.primes:
-        survivors, stats = search_mod_p(ansatz, config.target, p, config.depth)
-        per_prime[p] = survivors
-        prime_stats.append(stats)
+    per_prime, prime_stats = search_mod_p(ansatz, config)
     try:
         matches, combinations, lifts_tried = lift_and_verify(per_prime, ansatz, config)
     except HeightBoundExceeded as exc:
-        exc.stats = SearchStats(tuple(prime_stats), exc.combinations, 0, 0)
+        exc.stats = SearchStats(prime_stats, exc.combinations, 0, 0)
         raise
-    stats = SearchStats(tuple(prime_stats), combinations, lifts_tried, len(matches))
+    stats = SearchStats(prime_stats, combinations, lifts_tried, len(matches))
     return SearchResult(matches=matches, stats=stats)

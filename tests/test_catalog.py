@@ -177,6 +177,18 @@ def test_load_warns_on_degree_genus_disagreement():
         catalog.loads(catalog.dumps(rec))
 
 
+def test_degree_warning_points_at_the_callers_line(tmp_path):
+    """Both `loads` and `load` attribute the warning to their caller."""
+    path = tmp_path / "bad-degree.rec"
+    catalog.save(catalog.builtin("V16")._replace(degree=17), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        catalog.loads(path.read_text(encoding="utf-8"))
+        catalog.load(path)
+    assert [str(w.message) for w in caught] == ["record 'V16': degree 17 is not 2*genus-2 = 16"] * 2
+    assert [w.filename for w in caught] == [__file__] * 2
+
+
 def test_loads_requires_meta_and_operator():
     with pytest.raises(ParseError):
         catalog.loads("")

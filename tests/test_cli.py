@@ -307,6 +307,25 @@ def test_search_refuses_more_partial_assignments_than_it_may_hold(tmp_path, caps
     assert "more than the 1000000 a search may hold" in err
 
 
+def test_search_refuses_more_lifts_than_it_may_try(tmp_path, capsys):
+    """Two free orbits at height 10^6 modulo 7 would need about 4.9 * 10^11
+    lifts; the search stops with exit 2 before the first one."""
+    ansatz = tmp_path / "two-free.ansatz"
+    ansatz.write_text("# dim 1\n1 : a : free\n-1 : b : free\n")
+    series = tmp_path / "two-free.series"
+    series.write_text(constant_term_series(LaurentPoly(1, {(1,): 2, (-1,): 3}), 8).to_text())
+    argv = ["search", "-a", str(ansatz), "-s", str(series), "--prime", "7"]
+    assert main(argv + ["--height", "5"]) == 0
+    assert "lifts-tried: 18\n" in capsys.readouterr().out
+    assert main(argv + ["--height", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 6 residue combinations modulo 7 could need 489798367350 lifts into"
+        " [-1000000, 1000000], more than the 10000000 a search may try\n"
+    )
+
+
 def test_search_requires_exactly_one_target_source(tmp_path, capsys):
     _, series, ansatz = _write_search_inputs(tmp_path, 3)
     both = main([

@@ -63,6 +63,9 @@ def _write_inputs(directory):
     files["toy.ansatz"] = "# dim 1\n1 : apex : fixed 1\n-1 : tail : free\n"
     files["tall.series"] = constant_term_series(LaurentPoly(1, {(1,): 1, (-1,): 6}), 8).to_text()
     files["V18.ansatz"] = _orbit_ansatz(catalog.builtin("V18").model)
+    files["two-free.ansatz"] = "# dim 1\n1 : a : free\n-1 : b : free\n"
+    files["two-free.series"] = constant_term_series(
+        LaurentPoly(1, {(1,): 2, (-1,): 3}), 8).to_text()
     files["simplex.poly"] = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
                                             (-1, -1, -1): 1}).to_text()
     files["fractions.poly"] = LaurentPoly(2, {(1, 0): Fraction(2, 3), (-1, 0): Fraction(-5, 7),
@@ -121,6 +124,10 @@ COMMANDS = {
                             "--prime", "13", "--height", "5"],
     "search-V18-fixed": ["search", "-a", "V18.ansatz", "--catalog", "V18",
                          "--prime", "7", "--height", "5"],
+    "search-V18-two-primes": ["search", "-a", "V18.ansatz", "--catalog", "V18",
+                              "--prime", "5", "--prime", "7", "--height", "5"],
+    "error-lift-bound": ["search", "-a", "two-free.ansatz", "-s", "two-free.series",
+                         "--prime", "7", "--height", "1000000"],
     "error-composite-prime": ["search", "-a", "toy.ansatz", "-s", "toy.series", "--prime", "6"],
     "error-ragged-vertices": ["polytope", "-p", "ragged.vert"],
     "error-derived-usage": ["verify", "-f", "V16.poly", "-L", "V16.op", "--derived"],
@@ -138,8 +145,10 @@ EMPTY = _digest("")
 # hull's boundary triangulation, the three shallow or sparse series rows
 # before plain keys became one-slot rows, the catalog-show-V18,
 # catalog-show-P3 and verify-apery rows before the builtin records became
-# catalog text, and the bad-degree row after record warnings became one
-# plain stderr line; name: (exit code, sha256 of stdout, sha256 of stderr).
+# catalog text, the bad-degree row after record warnings became one
+# plain stderr line, the search-V18-two-primes row before one level
+# expansion served every prime, and the error-lift-bound row after the lift
+# stage got its bound; name: (exit code, sha256 of stdout, sha256 of stderr).
 GOLDEN = {
     "catalog-list": (0, "405b952b2a14d823ed71ab3269ffc4e6d3049bb7aad191d012cdcc88c6ec1822", EMPTY),
     "catalog-show-V16": (0, "1dc37f7ac9e828a985a4ddf020905a8a6fc5253855e60c022e8ffa0c04a1d7d9", EMPTY),
@@ -177,6 +186,8 @@ GOLDEN = {
     "search-toy": (0, "da6928f7edceea0201d29e770da1f0e59511cac4092080df880846c3d4a17c8c", EMPTY),
     "search-height-bound": (4, "7731841f1cc021a6c4e63013cfda3a79c36e0a929a9fedb087b752ca066cd5e6", "f09aff3219f883372bb411419d6f17e16eb2c0a70e5a0ebbdaf5e17f93d965db"),
     "search-V18-fixed": (0, "0eba196d9198f9da4603dcac16bf3bda7f2165fd841bdee4a5327c9c2a3cae35", EMPTY),
+    "search-V18-two-primes": (0, "3b8798e6bd534fbd22ee2a8c50cf964c6f58ed6c9d348359c0538ffc9beffbc5", EMPTY),
+    "error-lift-bound": (2, EMPTY, "6a85e729e43545d234fb0ca132a0a7d62112eebd7152fcdf0374212ccf84bc47"),
     "error-composite-prime": (2, EMPTY, "1f721441378d821ffd89002fcf2afe3d1adc40269f5bf863988a73de9a6f47f4"),
     "error-ragged-vertices": (2, EMPTY, "dc41e2323c02926a2be9f8905dd863340bc2f5f1fbbacb77fa44d9933fb8678c"),
     "error-derived-usage": (1, EMPTY, "d080b57a16da0b014d4d85251503514213a236775deb8945b0f7eb63dad43fa0"),

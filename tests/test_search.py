@@ -264,9 +264,9 @@ def test_search_config_validation():
 
 
 def test_search_mod_p_recovers_planted_residue():
-    target = target_for(planted_1d(3))
-    survivors, stats = search_mod_p(ansatz_1d(CoefficientDomain.free()), target, 5)
-    assert survivors == ((3,),)
+    config = SearchConfig(target=target_for(planted_1d(3)), primes=(5,))
+    per_prime, (stats,) = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
+    assert per_prime == {5: ((3,),)}
     assert stats.prime == 5
     assert stats.enumerated == 5
     assert stats.survivors_per_level[-1] == (4, 1)
@@ -276,8 +276,9 @@ def test_search_mod_p_prunes_non_integral_target_with_integral_domains():
     """phi of an integer polynomial is an integer, so a fractional target
     coefficient empties an all-integral search at that level."""
     target = PowerSeries([1, 0, Fraction(1, 2), 0, 6, 0, 90, 0, 1860])
-    survivors, stats = search_mod_p(ansatz_1d(CoefficientDomain.free()), target, 5)
-    assert survivors == ()
+    config = SearchConfig(target=target, primes=(5,))
+    per_prime, (stats,) = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
+    assert per_prime == {5: ()}
     assert (2, 0) in stats.survivors_per_level
 
 
@@ -285,21 +286,24 @@ def test_search_mod_p_keeps_rational_target_when_domain_is_rational():
     f = LaurentPoly(1, {(1,): 1, (-1,): Fraction(1, 2)})
     target = target_for(f)
     ansatz = ansatz_1d(CoefficientDomain.fixed(Fraction(1, 2)))
-    survivors, _ = search_mod_p(ansatz, target, 5)
-    assert survivors == ((),)
+    per_prime, _ = search_mod_p(ansatz, SearchConfig(target=target, primes=(5,)))
+    assert per_prime == {5: ((),)}
 
 
 def test_search_mod_p_rejects_bad_inputs():
+    """A composite prime, a depth past the target and a wrong constant term
+    are refused by the SearchConfig that search_mod_p takes; a fixed value
+    with no residue modulo a configured prime is refused by search_mod_p."""
     target = target_for(planted_1d(3))
-    ansatz = ansatz_1d(CoefficientDomain.free())
-    with pytest.raises(ValueError):
-        search_mod_p(ansatz, target, 6)
-    with pytest.raises(ValueError):
-        search_mod_p(ansatz, target, 5, depth=9)
-    with pytest.raises(ValueError):
-        search_mod_p(ansatz, PowerSeries([2, 0, 1, 0, 1]), 5)
-    with pytest.raises(ValueError):
-        search_mod_p(ansatz_1d(CoefficientDomain.fixed(Fraction(1, 5))), target, 5)
+    with pytest.raises(ValueError, match="^6 is not prime$"):
+        SearchConfig(target=target, primes=(6,))
+    with pytest.raises(ValueError, match="^target series order 8 is below the verification"):
+        SearchConfig(target=target, primes=(5,), depth=9, verify_depth=9)
+    with pytest.raises(ValueError, match="^target series must have constant coefficient 1$"):
+        SearchConfig(target=PowerSeries([2, 0, 1, 0, 1]), depth=2, verify_depth=4)
+    config = SearchConfig(target=target, primes=(7, 5))
+    with pytest.raises(ValueError, match="^fixed coefficient 1/5 is not defined modulo 5$"):
+        search_mod_p(ansatz_1d(CoefficientDomain.fixed(Fraction(1, 5))), config)
 
 
 def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
@@ -309,14 +313,33 @@ def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
     ansatz = ansatz_1d(CoefficientDomain.free())
     with pytest.raises(ValueError, match=r"^level 2 would hold 1000003 partial assignments"
                                          r" modulo 1000003, more than the 1000000 "):
-        search_mod_p(ansatz, target, 1000003)
+        search_mod_p(ansatz, SearchConfig(target=target, primes=(1000003,)))
+    config = SearchConfig(target=target, primes=(5,))
     monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 5)
-    survivors, _ = search_mod_p(ansatz, target, 5)
-    assert survivors == ((3,),)
+    per_prime, _ = search_mod_p(ansatz, config)
+    assert per_prime == {5: ((3,),)}
     monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 4)
     with pytest.raises(ValueError, match=r"^level 2 would hold 5 partial assignments modulo 5,"
                                          r" more than the 4 "):
-        search_mod_p(ansatz, target, 5)
+        search_mod_p(ansatz, config)
+
+
+def test_search_mod_p_expands_the_level_polynomials_once(monkeypatch):
+    """One expansion serves every prime; search() adds one for the lift."""
+    depths = []
+
+    def counted(ansatz, depth):
+        depths.append(depth)
+        return _level_polynomials(ansatz, depth)
+
+    monkeypatch.setattr("weaklg.search._level_polynomials", counted)
+    ansatz = ansatz_1d(CoefficientDomain.free())
+    config = SearchConfig(target=target_for(planted_1d(3)), primes=(3, 5, 7, 11), height=5)
+    per_prime, prime_stats = search_mod_p(ansatz, config)
+    assert depths == [4]
+    assert [st.prime for st in prime_stats] == list(per_prime) == [3, 5, 7, 11]
+    assert search(ansatz, config).matches == (planted_1d(3),)
+    assert depths == [4, 4, 4]
 
 
 def test_search_recovers_planted_coefficient():
@@ -391,6 +414,35 @@ def test_lift_and_verify_requires_all_primes():
     config = SearchConfig(target=target, primes=(5, 7), height=5)
     with pytest.raises(ValueError):
         lift_and_verify({5: ((3,),)}, ansatz_1d(CoefficientDomain.free()), config)
+
+
+def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
+    """A lift stage is refused once the surviving combinations times the
+    most lifts of one combination pass MAX_LIFTS: ceil(11/7) = 2
+    per free orbit at height 5 modulo 7, and one per choice value, even a
+    value such as 10 that no residue combination lifts to."""
+    two_free = SupportAnsatz(1, [
+        OrbitSpec("a", ((1,),), CoefficientDomain.free()),
+        OrbitSpec("b", ((-1,),), CoefficientDomain.free()),
+    ])
+    f = LaurentPoly(1, {(1,): 2, (-1,): 3})
+    config = SearchConfig(target=target_for(f), primes=(7,), height=5)
+    per_prime, _ = search_mod_p(two_free, config)
+    assert len(per_prime[7]) == 6
+    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 24)
+    matches, combinations, lifts_tried = lift_and_verify(per_prime, two_free, config)
+    assert f in matches and (combinations, lifts_tried) == (6, 18)
+    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 23)
+    with pytest.raises(ValueError, match=r"^6 residue combinations modulo 7 could need 24 lifts"
+                                         r" into \[-5, 5\], more than the 23 a search may try$"):
+        lift_and_verify(per_prime, two_free, config)
+    choice = ansatz_1d(CoefficientDomain.choice(3, 10, 73))
+    config = SearchConfig(target=target_for(planted_1d(3)), primes=(5, 7), height=5)
+    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 3)
+    assert search(choice, config).stats.lifts_tried == 2
+    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 2)
+    with pytest.raises(ValueError, match=r"^1 residue combinations modulo 5x7 could need 3 "):
+        search(choice, config)
 
 
 # --- level polynomials against the brute-force series -------------------------
@@ -532,7 +584,9 @@ def test_search_mod_p_matches_bruteforce_filter(seed):
 def assert_survivors_match_bruteforce(ansatz, target, p, depth):
     domains = [residue_domain(spec, p) for spec in unknowns(ansatz)]
     phis = {a: phi_bruteforce(assembled(ansatz, a), depth) for a in itertools.product(*domains)}
-    survivors, stats = search_mod_p(ansatz, target, p, depth)
+    config = SearchConfig(target=target, primes=(p,), depth=depth, verify_depth=depth)
+    per_prime, (stats,) = search_mod_p(ansatz, config)
+    survivors = per_prime[p]
 
     involved = zero_sum_levels(unknowns(ansatz), ansatz.support(), depth)
     expected_levels = []
@@ -558,6 +612,28 @@ def assert_survivors_match_bruteforce(ansatz, target, p, depth):
     assert survivors == expected
     assert stats.survivors_per_level == tuple(expected_levels)
     assert stats.survivor_count == len(expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_mod_p_over_three_primes_equals_each_prime_alone(seed):
+    """Survivors and PrimeStats of each prime do not depend on the others."""
+    rng = random.Random(900 + seed)
+    for _ in range(8):
+        ansatz = random_ansatz(rng, rng.choice((1, 2, 3)), max_points=4)
+        rational = not all(spec.domain.is_integral() for spec in ansatz.orbits)
+        primes = tuple(rng.sample((5, 7, 11, 13) if rational else (2, 3, 5, 7, 11), 3))
+        depth = rng.randint(2, 4)
+        if rng.random() < 0.7:
+            planted = [rng.randint(-3, 3) for _ in unknowns(ansatz)]
+            target = PowerSeries(phi_bruteforce(assembled(ansatz, planted), depth))
+        else:
+            target = PowerSeries([1] + [rng.randint(-4, 4) for _ in range(depth)])
+        config = SearchConfig(target=target, primes=primes, depth=depth, verify_depth=depth)
+        per_prime, prime_stats = search_mod_p(ansatz, config)
+        assert list(per_prime) == [st.prime for st in prime_stats] == list(primes)
+        for p, stats in zip(primes, prime_stats):
+            alone = search_mod_p(ansatz, config._replace(primes=(p,)))
+            assert alone == ({p: per_prime[p]}, (stats,))
 
 
 def test_lift_pre_check_only_drops_non_matches():
