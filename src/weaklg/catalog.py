@@ -53,6 +53,9 @@ def builtin(name):
 
 def _self_check():
     """Guard against table or model transcription rot, run at import."""
+    for record in _BUILTINS.values():
+        if record.model is None:
+            raise RuntimeError(f"catalog corrupted: builtin record {record.name!r} has no model")
     v16, v18, v22 = builtin("V16"), builtin("V18"), builtin("V22")
     if tuple(solve_series(v16.operator, 2)) != (1, 4, 40):
         raise RuntimeError("catalog corrupted: V16 operator solution prefix changed")

@@ -132,12 +132,7 @@ def _cmd_verify(args):
     _require(args.poly or record, "verify needs -f or --catalog")
     _require(args.operator or record, "verify needs -L or --catalog")
     _require(not args.derived or record, "--derived only applies with --catalog")
-    if args.poly:
-        f = LaurentPoly.from_text(_read(args.poly))
-    else:
-        if record.model is None:
-            raise ValueError(f"record {record.name!r} carries no model; pass -f")
-        f = record.model
+    f = LaurentPoly.from_text(_read(args.poly)) if args.poly else record.model
     if args.operator:
         op = DOperator.from_text(_read(args.operator))
     elif args.derived:
@@ -209,8 +204,6 @@ def _cmd_polytope(args):
     elif args.poly:
         P = newton_polytope(LaurentPoly.from_text(_read(args.poly)))
     elif record is not None:
-        if record.model is None:
-            raise ValueError(f"record {record.name!r} carries no model; pass -p or -f")
         P = newton_polytope(record.model)
     else:
         raise _UsageError("polytope needs one of -p, -f, --catalog")

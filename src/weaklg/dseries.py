@@ -38,7 +38,7 @@ class IndicialObstruction(ValueError):
         self.k = k
 
 
-class DOperator:
+class DOperator(namedtuple("DOperator", "table")):
     """Operator table c[j][l]: row j holds the D-coefficients of P_j.
 
     The table is rectangular with r+1 rows and m+1 columns, where r is the
@@ -47,9 +47,9 @@ class DOperator:
     requires a nonzero P_0 and checks for it then.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ()
 
-    def __init__(self, table):
+    def __new__(cls, table):
         rows = tuple(tuple(normalize_rational(x) for x in row) for row in table)
         if not rows or not rows[0]:
             raise ValueError("operator table must be nonempty")
@@ -58,43 +58,31 @@ class DOperator:
             raise ValueError("operator table rows must all have the same width")
         if not any(any(row) for row in rows):
             raise ValueError("operator table must not be identically zero")
-        self._table = rows
+        return super().__new__(cls, rows)
 
     @property
     def order(self):
         """Degree in D (table width minus one)."""
-        return len(self._table[0]) - 1
+        return len(self.table[0]) - 1
 
     @property
     def t_degree(self):
         """Degree in t (table height minus one)."""
-        return len(self._table) - 1
-
-    @property
-    def table(self):
-        return self._table
+        return len(self.table) - 1
 
     def p_value(self, j, k):
         """P_j evaluated at the integer k."""
         acc = 0
-        for c in reversed(self._table[j]):
+        for c in reversed(self.table[j]):
             acc = acc * k + c
         return normalize_rational(acc if isinstance(acc, int) else Fraction(acc))
-
-    def __eq__(self, other):
-        if not isinstance(other, DOperator):
-            return NotImplemented
-        return self._table == other._table
-
-    def __hash__(self):
-        return hash(self._table)
 
     def is_scalar_multiple(self, other):
         """True when the two tables agree up to one nonzero rational factor."""
         if self.order != other.order or self.t_degree != other.t_degree:
             return False
         ratio = None
-        for row_a, row_b in zip(self._table, other._table):
+        for row_a, row_b in zip(self.table, other.table):
             for a, b in zip(row_a, row_b):
                 if (a == 0) != (b == 0):
                     return False
@@ -111,7 +99,7 @@ class DOperator:
 
     def to_text(self):
         lines = [f"order {self.order}, tdeg {self.t_degree}"]
-        for row in self._table:
+        for row in self.table:
             lines.append(" ".join(format_rational(x) for x in row))
         return "\n".join(lines) + "\n"
 

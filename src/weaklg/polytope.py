@@ -30,50 +30,39 @@ def _dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
-class RationalPolytope:
-    """Full-dimensional polytope with rational vertices.
+class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension vertices facets")):
+    """Full-dimensional polytope with rational vertices, as a named tuple.
 
     Instances are produced by convex_hull and dual rather than built by hand;
-    the constructor trusts its inputs apart from basic shape checks.
+    construction sorts and normalises the vertices and facets and otherwise
+    checks only their shape.
     """
 
-    __slots__ = ("_n", "_vertices", "_facets")
+    __slots__ = ()
 
-    def __init__(self, n, vertices, facets):
-        self._n = n
-        self._vertices = tuple(
+    def __new__(cls, dimension, vertices, facets):
+        vertices = tuple(
             sorted(tuple(normalize_rational(x) for x in v) for v in vertices)
         )
-        self._facets = tuple(
+        facets = tuple(
             sorted((tuple(a), normalize_rational(c)) for a, c in facets)
         )
-        if not self._vertices or not self._facets:
+        if not vertices or not facets:
             raise ValueError("a polytope needs vertices and facets")
-        for v in self._vertices:
-            if len(v) != n:
-                raise ValueError(f"vertex {v} does not have dimension {n}")
-        for a, _ in self._facets:
-            if len(a) != n:
-                raise ValueError(f"facet normal {a} does not have dimension {n}")
-
-    @property
-    def dimension(self):
-        return self._n
-
-    @property
-    def vertices(self):
-        return self._vertices
-
-    @property
-    def facets(self):
-        return self._facets
+        for v in vertices:
+            if len(v) != dimension:
+                raise ValueError(f"vertex {v} does not have dimension {dimension}")
+        for a, _ in facets:
+            if len(a) != dimension:
+                raise ValueError(f"facet normal {a} does not have dimension {dimension}")
+        return super().__new__(cls, dimension, vertices, facets)
 
     def is_integral(self):
-        return all(isinstance(x, int) for v in self._vertices for x in v)
+        return all(isinstance(x, int) for v in self.vertices for x in v)
 
     def contains(self, point, strict=False):
         p = tuple(point)
-        for a, c in self._facets:
+        for a, c in self.facets:
             s = _dot(a, p)
             if s > c or (strict and s == c):
                 return False
@@ -81,37 +70,22 @@ class RationalPolytope:
 
     def facet_vertices(self, facet):
         a, c = facet
-        return tuple(v for v in self._vertices if _dot(a, v) == c)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolytope):
-            return NotImplemented
-        return (
-            self._n == other._n
-            and self._vertices == other._vertices
-            and self._facets == other._facets
-        )
-
-    def __hash__(self):
-        return hash((self._n, self._vertices, self._facets))
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(n={self._n}, vertices={len(self._vertices)}, "
-            f"facets={len(self._facets)})"
-        )
+        return tuple(v for v in self.vertices if _dot(a, v) == c)
 
 
 class LatticePolytope(RationalPolytope):
     """Polytope whose vertices are integer lattice points."""
 
-    def __init__(self, n, vertices, facets):
-        super().__init__(n, vertices, facets)
+    __slots__ = ()
+
+    def __new__(cls, dimension, vertices, facets):
+        self = super().__new__(cls, dimension, vertices, facets)
         if not self.is_integral():
             raise ValueError("lattice polytope vertices must be integers")
+        return self
 
     def to_text(self):
-        return "\n".join(" ".join(str(x) for x in v) for v in self._vertices) + "\n"
+        return "\n".join(" ".join(str(x) for x in v) for v in self.vertices) + "\n"
 
 
 def _hyperplane_normal(points):

@@ -128,13 +128,13 @@ class OrbitSpec(namedtuple("OrbitSpec", "label points domain")):
         return self.points[0]
 
 
-class SupportAnsatz:
+class SupportAnsatz(namedtuple("SupportAnsatz", "dimension orbits")):
     """A support set partitioned into orbits, each with a coefficient domain."""
 
-    __slots__ = ("_n", "_orbits")
+    __slots__ = ()
 
-    def __init__(self, n, orbits):
-        if not isinstance(n, int) or n < 1:
+    def __new__(cls, dimension, orbits):
+        if not isinstance(dimension, int) or dimension < 1:
             raise ValueError("dimension must be a positive integer")
         specs = tuple(sorted(orbits, key=lambda s: s.representative))
         if not specs:
@@ -146,39 +146,19 @@ class SupportAnsatz:
                 raise ValueError(f"duplicate orbit label {spec.label!r}")
             seen_labels.add(spec.label)
             for p in spec.points:
-                if len(p) != n:
-                    raise ValueError(f"point {p} does not have dimension {n}")
+                if len(p) != dimension:
+                    raise ValueError(f"point {p} does not have dimension {dimension}")
                 if p in seen_points:
                     raise ValueError(f"point {p} appears in two orbits")
                 seen_points.add(p)
-        self._n = n
-        self._orbits = specs
-
-    @property
-    def dimension(self):
-        return self._n
-
-    @property
-    def orbits(self):
-        return self._orbits
+        return super().__new__(cls, dimension, specs)
 
     def support(self):
-        return tuple(sorted(p for spec in self._orbits for p in spec.points))
-
-    def __eq__(self, other):
-        if not isinstance(other, SupportAnsatz):
-            return NotImplemented
-        return self._n == other._n and self._orbits == other._orbits
-
-    def __hash__(self):
-        return hash((self._n, self._orbits))
-
-    def __repr__(self):
-        return f"SupportAnsatz(n={self._n}, orbits={len(self._orbits)})"
+        return tuple(sorted(p for spec in self.orbits for p in spec.points))
 
     def to_text(self):
-        lines = [f"# dim {self._n}"]
-        for spec in self._orbits:
+        lines = [f"# dim {self.dimension}"]
+        for spec in self.orbits:
             for p in spec.points:
                 coords = " ".join(str(x) for x in p)
                 lines.append(f"{coords} : {spec.label} : {spec.domain.describe()}")

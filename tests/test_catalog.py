@@ -142,6 +142,13 @@ def test_no_constant_shift_and_rescaling_reconciles_the_v22_operator():
     )
 
 
+def test_self_check_requires_a_model_in_every_builtin(monkeypatch):
+    bare = catalog.builtin("P3-sample")._replace(model=None)
+    monkeypatch.setitem(catalog._BUILTINS, "P3-sample", bare)
+    with pytest.raises(RuntimeError, match="builtin record 'P3-sample' has no model"):
+        catalog._self_check()
+
+
 def test_degree_genus_h0_relations():
     for name in catalog.names():
         rec = catalog.builtin(name)

@@ -95,6 +95,26 @@ def test_verify_derived_without_catalog_is_usage_error(v16_files, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_verify_derived_needs_a_derived_operator(capsys):
+    assert main(["verify", "--catalog", "V16", "--derived"]) == 2
+    assert capsys.readouterr().err == "error: record 'V16' has no derived operator\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "-L", "v16.op", "-N", "-1"], "series order must be nonnegative"),
+    (["fit", "-s", "v16.series", "-m", "-1", "-r", "2"],
+     "order and t-degree bounds must be nonnegative"),
+    (["verify", "--catalog", "V16", "-N", "0"], "verification order must be at least 1"),
+])
+def test_out_of_range_depths_and_bounds_exit_2(v16_files, monkeypatch, capsys, argv, message):
+    directory = v16_files[1].parent
+    series = solve_series(catalog.builtin("V16").operator, 8)
+    (directory / "v16.series").write_text(series.to_text())
+    monkeypatch.chdir(directory)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_unknown_catalog_name(capsys):
     assert main(["verify", "--catalog", "V99"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -232,6 +252,26 @@ def test_operator_with_an_extra_row(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 4: expected 2 coefficient rows, got 3\n"
 
 
+def test_operator_with_a_negative_header_number(tmp_path, capsys):
+    negative = tmp_path / "negative.op"
+    negative.write_text("order -1, tdeg 2\n1\n1\n1\n")
+    assert main(["solve", "-L", str(negative)]) == 2
+    assert capsys.readouterr().err == "error: line 1: order and tdeg must be nonnegative\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1 : : free", "empty orbit label"),
+    ("1 : a :", "missing domain annotation"),
+    ("1 : a : free 3", "'free' takes no arguments"),
+    ("1 : a : fixed 1 2", "'fixed' takes exactly one value"),
+])
+def test_search_ansatz_with_a_bad_label_or_domain(tmp_path, capsys, line, message):
+    _, series, ansatz = _write_search_inputs(tmp_path, 3)
+    ansatz.write_text(f"{line}\n")
+    assert main(["search", "-a", str(ansatz), "-s", str(series), "--prime", "7"]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
 @pytest.mark.parametrize("token", ["1e-2", "2E1", "1_0", "\u0663", "1/1e1"])
 def test_rationals_outside_ascii_p_over_q_exit_2_with_a_line(tmp_path, capsys, token):
     poly = tmp_path / "bad.poly"
@@ -255,6 +295,10 @@ INTEGER_FIELD_CASES = [
     ("vertices.txt", "1_0 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n", ["polytope", "-p"], 1),
     ("header.op", "order \u0663, tdeg 0\n1 2 3 4\n", ["solve", "-L"], 1),
     ("index.series", "0 1\n\u0661 5\n", ["fit", "-m", "1", "-r", "0", "-s"], 2),
+    # Past sys.get_int_max_str_digits() int() refuses the token; without the limit it reads it.
+    pytest.param("digits.poly", "1 : 1 0 0\n1 : " + "1" * 5000 + " 0 0\n", ["series", "-f"], 2,
+                 id="digits.poly", marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
 ]
 
 
@@ -422,6 +466,13 @@ def test_record_warning_is_one_plain_stderr_line(tmp_path, filters):
     assert run.returncode == 3
     assert "mismatch.degree: expected 17, computed 16\n" in run.stdout
     assert run.stderr == "warning: record 'V16': degree 17 is not 2*genus-2 = 16\n"
+
+
+def test_expect_record_with_a_bad_meta_line(tmp_path, capsys):
+    bad = tmp_path / "bad-meta.rec"
+    bad.write_text(catalog.dumps(catalog.builtin("V16")).replace("genus: 9", "genus 9"))
+    assert main(["polytope", "--catalog", "V16", "--expect", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: bad meta line 'genus 9'\n")
 
 
 def test_polytope_source_usage_errors(tmp_path, v16_files, capsys):

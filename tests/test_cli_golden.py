@@ -48,6 +48,7 @@ def _write_inputs(directory):
         files[f"{name}.op"] = rec.operator.to_text()
     files["V16.rec"] = catalog.dumps(catalog.builtin("V16"))
     files["bad-degree.rec"] = catalog.dumps(catalog.builtin("V16")._replace(degree=17))
+    files["h0-12.rec"] = catalog.dumps(catalog.builtin("V16")._replace(h0=12))
     files["V16.series"] = solve_series(catalog.builtin("V16").operator, 25).to_text()
     files["V22.series"] = constant_term_series(catalog.builtin("V22").model, 30).to_text()
     for seed, size in ((1, 12), (2, 18), (3, 24)):
@@ -106,6 +107,8 @@ COMMANDS = {
     "polytope-pts3": ["polytope", "-p", "pts3.vert"],
     "polytope-expect-mismatch": ["polytope", "-f", "V22.poly", "--expect", "V16.rec"],
     "polytope-expect-bad-degree": ["polytope", "--catalog", "V16", "--expect", "bad-degree.rec"],
+    "polytope-expect-mismatch-pretty": ["polytope", "--catalog", "V16", "--expect", "h0-12.rec",
+                                        "--pretty"],
     "polytope-polygon": ["polytope", "-p", "polygon.vert"],
     "polytope-hexagon-pretty": ["polytope", "-p", "hexagon.vert", "--pretty"],
     "polytope-segment": ["polytope", "-p", "segment.vert"],
@@ -147,8 +150,10 @@ EMPTY = _digest("")
 # catalog-show-P3 and verify-apery rows before the builtin records became
 # catalog text, the bad-degree row after record warnings became one
 # plain stderr line, the search-V18-two-primes row before one level
-# expansion served every prime, and the error-lift-bound row after the lift
-# stage got its bound; name: (exit code, sha256 of stdout, sha256 of stderr).
+# expansion served every prime, the error-lift-bound row after the lift
+# stage got its bound, and the polytope-expect-mismatch-pretty row before
+# the support ansatz, operator and polytope became named tuples;
+# name: (exit code, sha256 of stdout, sha256 of stderr).
 GOLDEN = {
     "catalog-list": (0, "405b952b2a14d823ed71ab3269ffc4e6d3049bb7aad191d012cdcc88c6ec1822", EMPTY),
     "catalog-show-V16": (0, "1dc37f7ac9e828a985a4ddf020905a8a6fc5253855e60c022e8ffa0c04a1d7d9", EMPTY),
@@ -171,6 +176,7 @@ GOLDEN = {
     "polytope-pts3": (0, "ebbbf60c96560af2fc1b48a5e752912c2f8de675ddc139f24a42ef02186319b0", EMPTY),
     "polytope-expect-mismatch": (3, "1d8beaaeee207b0c53380204539dac9317c1f3a74538d1ecca4e8b52712d04b6", EMPTY),
     "polytope-expect-bad-degree": (3, "d8d869aca1bc6a8393de1e57f549d254f9eadfa1021309ccb652596fc88832f3", "10e1d1944d9c87c01827ef0dfaf1b6e0d3cf173ca203783bd6c9bc9f038db267"),
+    "polytope-expect-mismatch-pretty": (3, "da2a20b294b2f9e5096b0c29381f9bbeb3601b13af1d84bb6fd7b54861cbd049", EMPTY),
     "polytope-polygon": (0, "b64b75ccf089a08a074f4d787cfa9099f5d3c6f0617b391a730c481545aa5070", EMPTY),
     "polytope-hexagon-pretty": (0, "4d4a9c6c3cae1d90a239e4a6867114e47fb21802c772d6c1fab9953c69129a60", EMPTY),
     "polytope-segment": (0, "5d4c504af28a88f403b44578ab0d78e41b48cd39f7edb86d087ab82e94aff9a3", EMPTY),

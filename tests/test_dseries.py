@@ -81,6 +81,11 @@ def test_scalar_multiple_detection():
     tripled = DOperator([[3 * x for x in row] for row in L16.table])
     assert L16.is_scalar_multiple(tripled)
     assert not L16.is_scalar_multiple(DOperator([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    assert not L16.is_scalar_multiple(DOperator([row[:3] for row in L16.table]))
+    assert not L16.is_scalar_multiple(DOperator(L16.table[:2]))
+    moved_zero = DOperator([[0, 0, 1, 1]] + [list(row) for row in L16.table[1:]])
+    assert not L16.is_scalar_multiple(moved_zero)
+    assert not moved_zero.is_scalar_multiple(L16)
 
 
 def test_solve_series_hand_recurrence():

@@ -1,22 +1,25 @@
-"""The result records are named tuples, and importing the CLI stays cheap.
+"""The records and the method's inputs are named tuples, and importing the CLI stays cheap.
 
 Every record (FanoRecord, VerificationReport, ClearingReport,
-InvariantReport and the six search records) is a `collections.namedtuple`
-subclass.  Validation and normalisation run in `__new__`, so only the
-records' own `_replace` and `_make` skip them.
+InvariantReport and the six search records) and every input type of the
+method (SupportAnsatz, DOperator, RationalPolytope and LatticePolytope) is a
+`collections.namedtuple` subclass.  Validation and normalisation run in
+`__new__`, so only the types' own `_replace` and `_make` skip them.
 """
 
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import weaklg
 from weaklg import catalog
-from weaklg.dseries import VerificationReport, verify_weak_lg
+from weaklg.dseries import DOperator, VerificationReport, verify_weak_lg
 from weaklg.laurent import ClearingReport, PowerSeries
-from weaklg.polytope import InvariantReport
+from weaklg.polytope import InvariantReport, LatticePolytope, RationalPolytope, convex_hull
 from weaklg.search import (
     CoefficientDomain,
     OrbitSpec,
@@ -24,12 +27,14 @@ from weaklg.search import (
     SearchConfig,
     SearchResult,
     SearchStats,
+    SupportAnsatz,
 )
 
 from test_trace_contract import _spans
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TARGET = PowerSeries([1, 0, 2, 0, 6, 0, 20, 0, 70])
+FREE = CoefficientDomain.free()
 
 
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():
@@ -116,6 +121,9 @@ def test_record_reprs_keep_their_form():
     (SearchStats((), 0, 0, 0), "lifts_tried"),
     (catalog.builtin("V18"), "genus"),
     (catalog.builtin("V18"), "not_a_field"),
+    (SupportAnsatz(1, [OrbitSpec("a", [(1,)], FREE)]), "dimension"),
+    (DOperator([[0, 1]]), "table"),
+    (convex_hull([(-1,), (1,)]), "vertices"),
 ])
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
@@ -140,6 +148,24 @@ def test_records_are_immutable(record, field):
      "target series order 8 is below the verification depth 9"),
     (lambda: SearchConfig(PowerSeries([2] + [0] * 8)),
      "target series must have constant coefficient 1"),
+    (lambda: SupportAnsatz(0, [OrbitSpec("a", [(1,)], FREE)]),
+     "dimension must be a positive integer"),
+    (lambda: SupportAnsatz(1, []), "an ansatz needs at least one orbit"),
+    (lambda: SupportAnsatz(1, [OrbitSpec("a", [(1,)], FREE), OrbitSpec("a", [(2,)], FREE)]),
+     "duplicate orbit label 'a'"),
+    (lambda: SupportAnsatz(2, [OrbitSpec("a", [(1,)], FREE)]),
+     "point (1,) does not have dimension 2"),
+    (lambda: SupportAnsatz(1, [OrbitSpec("a", [(1,)], FREE), OrbitSpec("b", [(1,)], FREE)]),
+     "point (1,) appears in two orbits"),
+    (lambda: DOperator([]), "operator table must be nonempty"),
+    (lambda: DOperator([[1, 2], [3]]), "operator table rows must all have the same width"),
+    (lambda: DOperator([[0, 0], [0, 0]]), "operator table must not be identically zero"),
+    (lambda: RationalPolytope(1, [(1,)], []), "a polytope needs vertices and facets"),
+    (lambda: RationalPolytope(2, [(1,)], [((1, 0), 1)]), "vertex (1,) does not have dimension 2"),
+    (lambda: RationalPolytope(2, [(1, 0)], [((1,), 1)]),
+     "facet normal (1,) does not have dimension 2"),
+    (lambda: LatticePolytope(1, [(Fraction(1, 2),), (-1,)], [((1,), Fraction(1, 2)), ((-1,), 1)]),
+     "lattice polytope vertices must be integers"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
@@ -156,6 +182,51 @@ def test_records_normalise_their_fields():
     assert spec.points == ((0, 1), (1, 0))
     assert spec.representative == (0, 1)
     assert SearchConfig(TARGET, primes=[11, 7]).primes == (11, 7)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (SupportAnsatz, ("dimension", "orbits")),
+    (DOperator, ("table",)),
+    (RationalPolytope, ("dimension", "vertices", "facets")),
+    (LatticePolytope, ("dimension", "vertices", "facets")),
+])
+def test_method_inputs_are_named_tuples_with_validation_only(cls, fields):
+    assert issubclass(cls, tuple) and cls._fields == fields
+    assert vars(cls)["__slots__"] == ()
+    assert not {"__init__", "__eq__", "__hash__"} & set(vars(cls))
+    assert "__new__" in vars(cls)
+
+
+def test_method_inputs_unpack_compare_and_construct_by_keyword():
+    spec = OrbitSpec("a", [(1,)], FREE)
+    ansatz = SupportAnsatz(1, [spec])
+    assert ansatz == SupportAnsatz(orbits=(spec,), dimension=1) == (1, (spec,))
+    assert hash(ansatz) == hash((1, (spec,)))
+    dimension, orbits = ansatz
+    assert (dimension, orbits[0]) == (1, spec) and ansatz.support() == ((1,),)
+    op = DOperator(table=[[0, 1], [Fraction(2, 1), 1]])
+    assert op == (((0, 1), (2, 1)),) and type(op.table[1][0]) is int
+    assert op._replace(table=((0, 1),)).order == 1
+    segment = convex_hull([(3,), (-1,), (1,)])
+    assert type(segment) is LatticePolytope
+    assert segment == RationalPolytope(1, [(-1,), (3,)], [((-1,), 1), ((1,), 3)])
+    assert segment[1] == segment.vertices == ((-1,), (3,))
+    assert segment._replace(dimension=1) == segment
+
+
+def test_method_input_reprs():
+    assert repr(SupportAnsatz(1, [OrbitSpec("a", [(1,)], FREE)])) == (
+        "SupportAnsatz(dimension=1, orbits=(OrbitSpec(label='a', points=((1,),),"
+        " domain=CoefficientDomain(kind='free', values=())),))"
+    )
+    assert repr(DOperator([[0, 1]])) == "DOperator(order=1, t_degree=0)"
+    assert repr(convex_hull([(3,), (-1,)])) == (
+        "LatticePolytope(dimension=1, vertices=((-1,), (3,)), facets=(((-1,), 1), ((1,), 3)))"
+    )
+
+
+def test_package_all_names_every_module():
+    assert sorted(weaklg.__all__) == sorted(m.name for m in pkgutil.iter_modules(weaklg.__path__))
 
 
 def test_span_counters_read_the_search_result():
