@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dseries import DOperator, solve_series
-from .laurent import LaurentPoly, ParseError, data_lines, parse_ints
+from .laurent import LaurentPoly, ParseError, clip, data_lines, parse_ints
 
 
 class FanoRecord(namedtuple(
@@ -108,7 +108,7 @@ def _parse(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
             if name not in _SECTIONS:
-                raise ParseError(f"unknown section {name!r}", lineno)
+                raise ParseError(f"unknown section {clip(name)!r}", lineno)
             if name in sections:
                 raise ParseError(f"duplicate section {name!r}", lineno)
             sections[name] = []
@@ -132,7 +132,7 @@ def _parse(text):
         key, sep, value = line.partition(":")
         key = key.strip()
         if not sep or key not in _META_KEYS:
-            raise ParseError(f"bad meta line {line!r}", lineno)
+            raise ParseError(f"bad meta line {clip(line)!r}", lineno)
         if key in meta:
             raise ParseError(f"duplicate meta key {key!r}", lineno)
         meta[key] = (lineno, value.strip())

@@ -180,9 +180,8 @@ def _cmd_search(args):
     try:
         result = search(ansatz, config)
     except HeightBoundExceeded as exc:
-        if exc.stats is not None:
-            sys.stdout.write("matches: 0\n")
-            sys.stdout.write(exc.stats.to_document())
+        sys.stdout.write("matches: 0\n")
+        sys.stdout.write(exc.stats.to_document())
         print(f"search stopped: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     sys.stdout.write(f"matches: {len(result.matches)}\n")

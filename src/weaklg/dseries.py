@@ -20,6 +20,7 @@ from .laurent import (
     LaurentPoly,
     ParseError,
     PowerSeries,
+    clip,
     constant_term_series,
     data_lines,
     format_rational,
@@ -120,18 +121,19 @@ class DOperator(namedtuple("DOperator", "table")):
                 continue
             if len(rows) > header[1]:
                 raise ParseError(
-                    f"expected {header[1] + 1} coefficient rows, got {len(rows) + 1}", lineno
+                    f"expected {clip(header[1] + 1)} coefficient rows, got {len(rows) + 1}",
+                    lineno,
                 )
             values = [parse_rational(tok, lineno) for tok in line.split()]
             if len(values) != header[0] + 1:
                 raise ParseError(
-                    f"expected {header[0] + 1} coefficients, got {len(values)}", lineno
+                    f"expected {clip(header[0] + 1)} coefficients, got {len(values)}", lineno
                 )
             rows.append(values)
         if header is None:
             raise ParseError("empty operator input")
         if len(rows) < header[1] + 1:
-            raise ParseError(f"expected {header[1] + 1} coefficient rows, got {len(rows)}")
+            raise ParseError(f"expected {clip(header[1] + 1)} coefficient rows, got {len(rows)}")
         return cls(rows)
 
 

@@ -37,6 +37,20 @@ class ParseError(ValueError):
         self.line = line
 
 
+# Characters of one input field that an error message quotes: a longer field
+# is cut there and marked, so a hostile file cannot make an unbounded line.
+QUOTE_LIMIT = 40
+
+
+def clip(field):
+    """str(field) as an error message quotes it: at most QUOTE_LIMIT characters
+    of it, followed by '... (n characters)' when it is longer."""
+    text = str(field)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def normalize_rational(value):
     """Coerce to an exact rational, collapsing integral Fractions to int."""
     if isinstance(value, bool):
@@ -68,11 +82,11 @@ def parse_rational(text, line=None):
     """
     token = text.strip()
     if not _RATIONAL.fullmatch(token):
-        raise ParseError(f"bad rational {token!r}", line)
+        raise ParseError(f"bad rational {clip(token)!r}", line)
     try:
         return normalize_rational(Fraction(token))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", line) from None
+        raise ParseError(f"bad rational {clip(token)!r}", line) from None
 
 
 def data_lines(text, dims=None):
@@ -136,14 +150,14 @@ class PointDims:
         if n[0] < 1:
             raise ParseError("dimension must be positive", lineno)
         if self.n not in (None, n[0]):
-            raise ParseError(f"'# dim {n[0]}' contradicts dimension {self.n}", lineno)
+            raise ParseError(f"'# dim {clip(n[0])}' contradicts dimension {self.n}", lineno)
         self.n = n[0]
 
     def point(self, field, lineno, what="point"):
         """The integer point in `field`, checked against n."""
         point = parse_ints(field)
         if point is None:
-            raise ParseError(f"bad {what} {field.strip()!r}", lineno)
+            raise ParseError(f"bad {what} {clip(field.strip())!r}", lineno)
         if not point:
             raise ParseError(f"empty {what}", lineno)
         if self.n is None:
@@ -390,7 +404,7 @@ class LaurentPoly:
             coeff = parse_rational(left, lineno)
             exps = dims.point(right, lineno, "exponent vector")
             if exps in entries:
-                raise ParseError(f"duplicate exponent vector {exps}", lineno)
+                raise ParseError(f"duplicate exponent vector {clip(exps)}", lineno)
             entries[exps] = coeff
         if dims.n is None:
             raise ParseError("empty input: the zero polynomial needs a '# dim n' line")
@@ -458,9 +472,9 @@ class PowerSeries:
                 raise ParseError("expected '<index> <coefficient>'", lineno)
             idx = parse_ints(parts[0])
             if idx is None or idx[0] < 0:
-                raise ParseError(f"bad index {parts[0]!r}", lineno)
+                raise ParseError(f"bad index {clip(parts[0])!r}", lineno)
             if idx[0] in entries:
-                raise ParseError(f"duplicate index {idx[0]}", lineno)
+                raise ParseError(f"duplicate index {clip(idx[0])}", lineno)
             entries[idx[0]] = parse_rational(parts[1], lineno)
         if not entries:
             raise ParseError("empty series input")
@@ -594,30 +608,6 @@ def substitute_monomial(f, matrix):
     for exps, c in f._terms.items():
         e = tuple(sum(U[i][j] * exps[j] for j in range(n)) for i in range(n))
         terms[e] = c
-    return LaurentPoly(n, terms)
-
-
-def resize(f, scales):
-    """Scale each variable, x_i -> alpha_i x_i, multiplying a_m by alpha^m.
-
-    Monomial products that contribute to a constant term have exponent sum
-    zero, so the scale factors cancel and Phi_f is unchanged.
-    """
-    n = f.dimension
-    alphas = []
-    for a in scales:
-        a = normalize_rational(a)
-        if a == 0:
-            raise ValueError("scale factors must be nonzero")
-        alphas.append(Fraction(a))
-    if len(alphas) != n:
-        raise DimensionMismatch(f"expected {n} scale factors, got {len(alphas)}")
-    terms = {}
-    for exps, c in f._terms.items():
-        factor = Fraction(1)
-        for a, e in zip(alphas, exps):
-            factor *= a**e
-        terms[exps] = c * factor
     return LaurentPoly(n, terms)
 
 

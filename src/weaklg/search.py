@@ -4,12 +4,13 @@ The problem comes in as a support ansatz (points grouped into symmetry
 orbits, one unknown coefficient per orbit, some orbits pinned to fixed
 values) plus a target series prefix.  With the support fixed, each constant
 term phi(r) is a polynomial of degree r in the orbit coefficients.  One
-SearchConfig (target, primes, height, depths) drives both stages.  Each call
-of search_mod_p or lift_and_verify builds these level polynomials
-phi(1..depth) from one expansion in which every orbit coefficient is a
-variable, and reads off it both the level where each orbit enters and phi(r)
-with the fixed values substituted; search_mod_p searches every configured
-prime from that expansion.
+SearchConfig (target, primes, height, depths) drives both stages.
+search_mod_p builds these level polynomials phi(1..depth) from one expansion
+in which every orbit coefficient is a variable, reads off it both the level
+where each orbit enters and phi(r) with the fixed values substituted, and
+searches every configured prime from it.  It hands a ModularStage (the
+level polynomials beside the survivors and their statistics) to
+lift_and_verify, so the one expansion per search() serves both stages.
 The search enumerates orbit coefficients modulo one or more primes, pruning
 level by level: phi(r) only involves orbits whose points can take part in a
 zero-sum r-fold product, so orbits are brought in exactly when they first
@@ -33,6 +34,7 @@ from .laurent import (
     ParseError,
     PointDims,
     PowerSeries,
+    clip,
     constant_term_levels,
     constant_term_series,
     data_lines,
@@ -49,15 +51,12 @@ from .linalg import is_prime
 class HeightBoundExceeded(RuntimeError):
     """Residue assignments survived, but no integer lift fits the height bound.
 
-    `combinations` counts the surviving residue combinations, and `stats`
-    carries the accumulated SearchStats when raised from search().
+    `stats` carries the SearchStats of the stopped search.
     """
 
-    stats = None
-
-    def __init__(self, message, combinations):
+    def __init__(self, message, stats):
         super().__init__(message)
-        self.combinations = combinations
+        self.stats = stats
 
 
 class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
@@ -181,10 +180,10 @@ class SupportAnsatz(namedtuple("SupportAnsatz", "dimension orbits")):
             entry = groups.setdefault(label, (domain, []))
             if entry[0] != domain:
                 raise ParseError(
-                    f"orbit {label!r} has conflicting domain annotations", lineno
+                    f"orbit {clip(label)!r} has conflicting domain annotations", lineno
                 )
             if owners.setdefault(point, label) != label:
-                raise ParseError(f"point {point} appears in two orbits", lineno)
+                raise ParseError(f"point {clip(point)} appears in two orbits", lineno)
             entry[1].append(point)
         if not groups:
             raise ParseError("empty ansatz input")
@@ -214,7 +213,7 @@ def _parse_domain(text, lineno):
         if values is None:
             raise ParseError("choice values must be integers", lineno)
         return CoefficientDomain.choice(*values)
-    raise ParseError(f"unknown domain kind {parts[0]!r}", lineno)
+    raise ParseError(f"unknown domain kind {clip(parts[0])!r}", lineno)
 
 
 def _apply_matrix(matrix, point):
@@ -303,7 +302,7 @@ class SearchConfig(namedtuple(
 
 
 PrimeStats = namedtuple(
-    "PrimeStats", "prime depth enumerated survivors_per_level survivor_count"
+    "PrimeStats", "prime enumerated survivors_per_level survivor_count"
 )
 
 
@@ -328,6 +327,11 @@ class SearchStats(namedtuple(
 
 
 SearchResult = namedtuple("SearchResult", "matches stats")
+
+# What search_mod_p hands to lift_and_verify: `levels` holds phi(1..depth) as
+# _level_polynomials gives them, `survivors` maps each prime, in search
+# order, to its survivor tuples, and `prime_stats` holds one PrimeStats each.
+ModularStage = namedtuple("ModularStage", "ansatz config levels survivors prime_stats")
 
 
 def _modular_residue(value, p, context):
@@ -425,8 +429,8 @@ MAX_LIFTS = 10_000_000
 def search_mod_p(ansatz, config):
     """All orbit-coefficient assignments over Z/p matching the target prefix.
 
-    Returns ({p: survivors}, (PrimeStats, ...)) over config.primes, searched
-    in order from one expansion of the level polynomials phi(1..depth).  Each
+    Returns a ModularStage whose survivors cover config.primes, searched in
+    order from one expansion of the level polynomials phi(1..depth).  Each
     survivor is a tuple of residues aligned with the non-fixed orbits in
     ansatz order.  Pruning is level by level in r, evaluating phi(r) mod p on
     each partial assignment; when the target has a non-integral coefficient
@@ -499,8 +503,8 @@ def search_mod_p(ansatz, config):
             sorted(tuple(part[position[k]] for k in range(len(order))) for part in partials)
         )
         per_prime[p] = survivors
-        prime_stats.append(PrimeStats(p, depth, enumerated, tuple(per_level), len(survivors)))
-    return per_prime, tuple(prime_stats)
+        prime_stats.append(PrimeStats(p, enumerated, tuple(per_level), len(survivors)))
+    return ModularStage(ansatz, config, levels, per_prime, tuple(prime_stats))
 
 
 def _crt(residues, primes):
@@ -526,25 +530,25 @@ def _assemble(ansatz, undetermined, values):
     return LaurentPoly(ansatz.dimension, terms)
 
 
-def lift_and_verify(per_prime, ansatz, config):
-    """Lift surviving residues to integers and verify each lift exactly.
+def lift_and_verify(stage):
+    """Lift a ModularStage's surviving residues to integers and verify each lift exactly.
 
-    `per_prime` maps each configured prime to its survivor tuples.  Residues
-    are combined across primes by CRT per orbit, lifted within the height
-    bound, and checked exactly against the level polynomials phi(1..depth);
-    a lift passing that pre-check is assembled into a polynomial and accepted
-    only when its exact constant-term series matches the target through
-    config.verify_depth.
-    Raises HeightBoundExceeded when residue combinations survive but not a
-    single one admits an in-range lift, and ValueError, before any lift,
-    when the combinations could need more than MAX_LIFTS lifts.
+    Residues are combined across the stage's primes by CRT per orbit, lifted
+    within the height bound, and checked exactly against the stage's level
+    polynomials phi(1..depth); a lift passing that pre-check is assembled
+    into a polynomial and accepted only when its exact constant-term series
+    matches the target through config.verify_depth.  Returns the
+    SearchResult, whose stats always carry the per-prime pruning profile,
+    even when nothing survives.
+    Raises HeightBoundExceeded, carrying those stats, when residue
+    combinations survive but not a single one admits an in-range lift, and
+    ValueError, before any lift, when the combinations could need more than
+    MAX_LIFTS lifts.
     """
-    primes = config.primes
-    for p in primes:
-        if p not in per_prime:
-            raise ValueError(f"missing survivor list for prime {p}")
+    ansatz, config, survivors = stage.ansatz, stage.config, stage.survivors
+    primes = tuple(survivors)
     undetermined = _undetermined(ansatz)
-    surviving = math.prod(len(per_prime[p]) for p in primes)
+    surviving = math.prod(map(len, survivors.values()))
     window = -(-(2 * config.height + 1) // math.prod(primes))
     most = surviving * math.prod(
         len(spec.domain.values) if spec.domain.kind == "choice" else window
@@ -558,16 +562,15 @@ def lift_and_verify(per_prime, ansatz, config):
         )
     target = config.target
     prefix = target.truncate(config.verify_depth)
-    levels, _ = _level_polynomials(ansatz, config.depth)
     checks = [
         (target[r], _sparse_terms(poly, range(len(undetermined))))
-        for r, poly in enumerate(levels, 1)
+        for r, poly in enumerate(stage.levels, 1)
     ]
     matches = {}
     combinations = 0
     lifts_tried = 0
     range_blocked = 0
-    for combo in itertools.product(*(per_prime[p] for p in primes)):
+    for combo in itertools.product(*survivors.values()):
         combinations += 1
         option_lists = []
         for pos, (_, spec) in enumerate(undetermined):
@@ -589,29 +592,17 @@ def lift_and_verify(per_prime, ansatz, config):
                 candidate = _assemble(ansatz, undetermined, values)
                 if constant_term_series(candidate, config.verify_depth) == prefix:
                     matches.setdefault(candidate.to_text(), candidate)
+    stats = SearchStats(stage.prime_stats, combinations, lifts_tried, len(matches))
     if not matches and lifts_tried == 0 and range_blocked > 0:
         raise HeightBoundExceeded(
             f"{combinations} residue combinations survived modulo"
             f" {'x'.join(str(p) for p in primes)} but none lifts into"
             f" [-{config.height}, {config.height}]",
-            combinations,
+            stats,
         )
-    ordered = tuple(matches[key] for key in sorted(matches))
-    return ordered, combinations, lifts_tried
+    return SearchResult(tuple(matches[key] for key in sorted(matches)), stats)
 
 
 def search(ansatz, config):
-    """Full pipeline: per-prime modular search, CRT lift, exact verification.
-
-    Returns a SearchResult whose stats always carry the per-prime pruning
-    profile, even when nothing survives.  A HeightBoundExceeded raised during
-    lifting carries the stats gathered so far in its `stats` attribute.
-    """
-    per_prime, prime_stats = search_mod_p(ansatz, config)
-    try:
-        matches, combinations, lifts_tried = lift_and_verify(per_prime, ansatz, config)
-    except HeightBoundExceeded as exc:
-        exc.stats = SearchStats(prime_stats, exc.combinations, 0, 0)
-        raise
-    stats = SearchStats(prime_stats, combinations, lifts_tried, len(matches))
-    return SearchResult(matches=matches, stats=stats)
+    """Full pipeline: per-prime modular search, CRT lift, exact verification."""
+    return lift_and_verify(search_mod_p(ansatz, config))

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 from weaklg import linalg
-from weaklg.laurent import LaurentPoly, substitute_monomial
+from weaklg.laurent import (
+    DimensionMismatch, LaurentPoly, normalize_rational, substitute_monomial,
+)
 from weaklg.polytope import LatticePolytope, NotFullDimensional
 
 
@@ -49,6 +51,30 @@ def random_scales(rng, n=3):
         den = rng.choice((1, 2, 3))
         out.append(Fraction(num, den))
     return out
+
+
+def resize(f, scales):
+    """Scale each variable, x_i -> alpha_i x_i, multiplying a_m by alpha^m.
+
+    Monomial products that contribute to a constant term have exponent sum
+    zero, so the scale factors cancel and Phi_f is unchanged.
+    """
+    n = f.dimension
+    alphas = []
+    for a in scales:
+        a = normalize_rational(a)
+        if a == 0:
+            raise ValueError("scale factors must be nonzero")
+        alphas.append(Fraction(a))
+    if len(alphas) != n:
+        raise DimensionMismatch(f"expected {n} scale factors, got {len(alphas)}")
+    terms = {}
+    for exps, c in f.terms():
+        factor = Fraction(1)
+        for a, e in zip(alphas, exps):
+            factor *= a**e
+        terms[exps] = c * factor
+    return LaurentPoly(n, terms)
 
 
 def phi_bruteforce(f, N):

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from corpus import phi_bruteforce, random_laurent, random_scales, random_unimodular
+from corpus import phi_bruteforce, random_laurent, random_scales, random_unimodular, resize
 
 from weaklg import catalog, linalg
 from weaklg.cli import main as cli_main
@@ -20,7 +20,6 @@ from weaklg.laurent import (
     constant_term_series,
     constant_term_series_mitm,
     quartic_compactification_check,
-    resize,
     substitute_monomial,
 )
 from weaklg.polytope import (

@@ -288,6 +288,22 @@ def test_rationals_outside_ascii_p_over_q_exit_2_with_a_line(tmp_path, capsys, t
     assert capsys.readouterr().err == f"error: line 2: bad rational {token!r}\n"
 
 
+def test_a_huge_field_gives_a_bounded_error_line(tmp_path, capsys):
+    """The message keeps the line number and quotes 40 characters of the field."""
+    poly = tmp_path / "huge.poly"
+    poly.write_text("1 : -1 0 0\n1 : " + "9" * 5000 + " 0 0\n")
+    assert main(["series", "-f", str(poly)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: bad exponent vector '" + "9" * 40 + "... (5004 characters)'\n"
+    assert len(err) == 99
+    series = tmp_path / "huge.series"
+    series.write_text("0 1\n1 1e" + "9" * 2998 + "\n")
+    assert main(["fit", "-s", str(series), "-m", "1", "-r", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: bad rational '1e" + "9" * 38 + "... (3000 characters)'\n"
+    assert len(err) == 92
+
+
 INTEGER_FIELD_CASES = [
     ("arabic.poly", "1 : \u0661 0 0\n1 : -1 0 0\n", ["series", "-f"], 1),
     ("underscore.poly", "1 : 1 0 0\n1 : -1_0 0 0\n", ["series", "-f"], 2),

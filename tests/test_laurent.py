@@ -20,7 +20,6 @@ from weaklg.laurent import (
     pack_exponents,
     parse_rational,
     quartic_compactification_check,
-    resize,
     substitute_monomial,
 )
 
@@ -33,6 +32,7 @@ from corpus import (
     random_mutation_pair,
     random_scales,
     random_unimodular,
+    resize,
 )
 
 

@@ -60,7 +60,7 @@ def test_records_construct_by_position_and_keyword():
     assert ClearingReport(True, 4, (1, 1, 1)) == ClearingReport(
         shift=(1, 1, 1), passes=True, cleared_degree=4
     )
-    stats = SearchStats((PrimeStats(7, 4, 10, ((1, 3),), 3),), 0, 1, 2)
+    stats = SearchStats((PrimeStats(7, 10, ((1, 3),), 3),), 0, 1, 2)
     assert stats.prime_stats[0].survivor_count == 3
     assert SearchResult(matches=(), stats=stats).stats is stats
     assert OrbitSpec("a", ((1, 0),), CoefficientDomain.free()) == OrbitSpec(
@@ -95,9 +95,8 @@ def test_record_reprs_keep_their_form():
         "SearchResult(matches=(), stats=SearchStats(prime_stats=(),"
         " residue_combinations=0, lifts_tried=1, exact_matches=2))"
     )
-    assert repr(PrimeStats(7, 4, 10, ((1, 3),), 3)) == (
-        "PrimeStats(prime=7, depth=4, enumerated=10, survivors_per_level=((1, 3),),"
-        " survivor_count=3)"
+    assert repr(PrimeStats(7, 10, ((1, 3),), 3)) == (
+        "PrimeStats(prime=7, enumerated=10, survivors_per_level=((1, 3),), survivor_count=3)"
     )
     assert repr(SearchConfig(TARGET)) == (
         "SearchConfig(target=PowerSeries([1, 0, 2, 0, ...], order=8), primes=(7,),"
@@ -231,7 +230,7 @@ def test_package_all_names_every_module():
 
 def test_span_counters_read_the_search_result():
     stats = SearchStats(
-        (PrimeStats(7, 4, 10, ((1, 3),), 3), PrimeStats(11, 4, 20, ((1, 4),), 4)), 12, 5, 2
+        (PrimeStats(7, 10, ((1, 3),), 3), PrimeStats(11, 20, ((1, 4),), 4)), 12, 5, 2
     )
     counts = {name: 0 for name in (
         "search.enumerated", "search.survivors", "search.lifts_tried", "search.exact_matches"

@@ -265,8 +265,9 @@ def test_search_config_validation():
 
 def test_search_mod_p_recovers_planted_residue():
     config = SearchConfig(target=target_for(planted_1d(3)), primes=(5,))
-    per_prime, (stats,) = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
-    assert per_prime == {5: ((3,),)}
+    stage = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
+    assert stage.survivors == {5: ((3,),)}
+    (stats,) = stage.prime_stats
     assert stats.prime == 5
     assert stats.enumerated == 5
     assert stats.survivors_per_level[-1] == (4, 1)
@@ -277,17 +278,16 @@ def test_search_mod_p_prunes_non_integral_target_with_integral_domains():
     coefficient empties an all-integral search at that level."""
     target = PowerSeries([1, 0, Fraction(1, 2), 0, 6, 0, 90, 0, 1860])
     config = SearchConfig(target=target, primes=(5,))
-    per_prime, (stats,) = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
-    assert per_prime == {5: ()}
-    assert (2, 0) in stats.survivors_per_level
+    stage = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
+    assert stage.survivors == {5: ()}
+    assert (2, 0) in stage.prime_stats[0].survivors_per_level
 
 
 def test_search_mod_p_keeps_rational_target_when_domain_is_rational():
     f = LaurentPoly(1, {(1,): 1, (-1,): Fraction(1, 2)})
     target = target_for(f)
     ansatz = ansatz_1d(CoefficientDomain.fixed(Fraction(1, 2)))
-    per_prime, _ = search_mod_p(ansatz, SearchConfig(target=target, primes=(5,)))
-    assert per_prime == {5: ((),)}
+    assert search_mod_p(ansatz, SearchConfig(target=target, primes=(5,))).survivors == {5: ((),)}
 
 
 def test_search_mod_p_rejects_bad_inputs():
@@ -316,8 +316,7 @@ def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
         search_mod_p(ansatz, SearchConfig(target=target, primes=(1000003,)))
     config = SearchConfig(target=target, primes=(5,))
     monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 5)
-    per_prime, _ = search_mod_p(ansatz, config)
-    assert per_prime == {5: ((3,),)}
+    assert search_mod_p(ansatz, config).survivors == {5: ((3,),)}
     monkeypatch.setattr("weaklg.search.MAX_PARTIAL_ASSIGNMENTS", 4)
     with pytest.raises(ValueError, match=r"^level 2 would hold 5 partial assignments modulo 5,"
                                          r" more than the 4 "):
@@ -325,7 +324,7 @@ def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
 
 
 def test_search_mod_p_expands_the_level_polynomials_once(monkeypatch):
-    """One expansion serves every prime; search() adds one for the lift."""
+    """One expansion serves every prime, and search() expands once for both stages."""
     depths = []
 
     def counted(ansatz, depth):
@@ -335,11 +334,11 @@ def test_search_mod_p_expands_the_level_polynomials_once(monkeypatch):
     monkeypatch.setattr("weaklg.search._level_polynomials", counted)
     ansatz = ansatz_1d(CoefficientDomain.free())
     config = SearchConfig(target=target_for(planted_1d(3)), primes=(3, 5, 7, 11), height=5)
-    per_prime, prime_stats = search_mod_p(ansatz, config)
+    stage = search_mod_p(ansatz, config)
     assert depths == [4]
-    assert [st.prime for st in prime_stats] == list(per_prime) == [3, 5, 7, 11]
+    assert [st.prime for st in stage.prime_stats] == list(stage.survivors) == [3, 5, 7, 11]
     assert search(ansatz, config).matches == (planted_1d(3),)
-    assert depths == [4, 4, 4]
+    assert depths == [4, 4]
 
 
 def test_search_recovers_planted_coefficient():
@@ -382,10 +381,9 @@ def test_search_height_bound_exceeded():
     with pytest.raises(HeightBoundExceeded) as info:
         search(ansatz_1d(CoefficientDomain.free()), config)
     stats = info.value.stats
-    assert stats is not None
     assert stats.residue_combinations == 1
     assert stats.prime_stats[0].survivor_count == 1
-    assert info.value.combinations == 1
+    assert (stats.lifts_tried, stats.exact_matches) == (0, 0)
     assert "[-5, 5]" in str(info.value)
 
 
@@ -409,11 +407,17 @@ def test_search_result_is_deterministic():
     assert first.stats.to_document() == second.stats.to_document()
 
 
-def test_lift_and_verify_requires_all_primes():
-    target = target_for(planted_1d(3))
-    config = SearchConfig(target=target, primes=(5, 7), height=5)
-    with pytest.raises(ValueError):
-        lift_and_verify({5: ((3,),)}, ansatz_1d(CoefficientDomain.free()), config)
+def test_search_is_the_two_stages_composed():
+    """search() hands search_mod_p's stage to lift_and_verify and nothing else."""
+    target = target_for(planted_1d(7))
+    config = SearchConfig(target=target, primes=(3, 5), height=8)
+    ansatz = ansatz_1d(CoefficientDomain.free())
+    stage = search_mod_p(ansatz, config)
+    assert (stage.ansatz, stage.config) == (ansatz, config)
+    result = lift_and_verify(stage)
+    assert result == search(ansatz, config)
+    assert result.matches == (planted_1d(7),)
+    assert result.stats.prime_stats == stage.prime_stats
 
 
 def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
@@ -427,15 +431,15 @@ def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
     ])
     f = LaurentPoly(1, {(1,): 2, (-1,): 3})
     config = SearchConfig(target=target_for(f), primes=(7,), height=5)
-    per_prime, _ = search_mod_p(two_free, config)
-    assert len(per_prime[7]) == 6
+    stage = search_mod_p(two_free, config)
+    assert len(stage.survivors[7]) == 6
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 24)
-    matches, combinations, lifts_tried = lift_and_verify(per_prime, two_free, config)
-    assert f in matches and (combinations, lifts_tried) == (6, 18)
+    matches, stats = lift_and_verify(stage)
+    assert f in matches and (stats.residue_combinations, stats.lifts_tried) == (6, 18)
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 23)
     with pytest.raises(ValueError, match=r"^6 residue combinations modulo 7 could need 24 lifts"
                                          r" into \[-5, 5\], more than the 23 a search may try$"):
-        lift_and_verify(per_prime, two_free, config)
+        lift_and_verify(stage)
     choice = ansatz_1d(CoefficientDomain.choice(3, 10, 73))
     config = SearchConfig(target=target_for(planted_1d(3)), primes=(5, 7), height=5)
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 3)
@@ -585,8 +589,9 @@ def assert_survivors_match_bruteforce(ansatz, target, p, depth):
     domains = [residue_domain(spec, p) for spec in unknowns(ansatz)]
     phis = {a: phi_bruteforce(assembled(ansatz, a), depth) for a in itertools.product(*domains)}
     config = SearchConfig(target=target, primes=(p,), depth=depth, verify_depth=depth)
-    per_prime, (stats,) = search_mod_p(ansatz, config)
-    survivors = per_prime[p]
+    stage = search_mod_p(ansatz, config)
+    survivors = stage.survivors[p]
+    (stats,) = stage.prime_stats
 
     involved = zero_sum_levels(unknowns(ansatz), ansatz.support(), depth)
     expected_levels = []
@@ -629,11 +634,12 @@ def test_search_mod_p_over_three_primes_equals_each_prime_alone(seed):
         else:
             target = PowerSeries([1] + [rng.randint(-4, 4) for _ in range(depth)])
         config = SearchConfig(target=target, primes=primes, depth=depth, verify_depth=depth)
-        per_prime, prime_stats = search_mod_p(ansatz, config)
-        assert list(per_prime) == [st.prime for st in prime_stats] == list(primes)
-        for p, stats in zip(primes, prime_stats):
+        stage = search_mod_p(ansatz, config)
+        assert list(stage.survivors) == [st.prime for st in stage.prime_stats] == list(primes)
+        for p, stats in zip(primes, stage.prime_stats):
             alone = search_mod_p(ansatz, config._replace(primes=(p,)))
-            assert alone == ({p: per_prime[p]}, (stats,))
+            assert alone.survivors == {p: stage.survivors[p]}
+            assert alone.prime_stats == (stats,)
 
 
 def test_lift_pre_check_only_drops_non_matches():
@@ -665,7 +671,8 @@ def test_lift_pre_check_only_drops_non_matches():
         residues = tuple(
             itertools.product(*(residue_domain(spec, p) for spec in unknowns(ansatz)))
         )
-        matches, combinations, lifts_tried = lift_and_verify({p: residues}, ansatz, config)
+        stage = search_mod_p(ansatz, config)._replace(survivors={p: residues})
+        matches, stats = lift_and_verify(stage)
 
         expected = set()
         for values in all_lifts:
@@ -678,7 +685,7 @@ def test_lift_pre_check_only_drops_non_matches():
                 rejected_early += 1
         assert [m.to_text() for m in matches] == sorted(expected)
         assert assembled(ansatz, planted) in matches
-        assert combinations == len(residues)
-        assert lifts_tried == len(all_lifts)
+        assert stats.residue_combinations == len(residues)
+        assert stats.lifts_tried == len(all_lifts)
         checked += 1
     assert rejected_early > 0 and rejected_late > 0

@@ -180,6 +180,51 @@ def test_integer_fields_reject_everything_but_ascii_digits(field, token):
     assert str(info.value).startswith(f"line {line}: ")
 
 
+LONG = "7" * 4000  # an integer field inside int()'s default digit limit
+WORD = "x" * 5000
+CUT = "... ({} characters)"
+
+# (parser, text with one huge field, its line, the whole expected message)
+HUGE_FIELDS = {
+    "rational": (LaurentPoly.from_text, "1 : 1\n1e" + "9" * 4998 + " : -1\n", 2,
+                 "bad rational '1e" + "9" * 38 + CUT.format(5000) + "'"),
+    "exponent vector": (LaurentPoly.from_text, f"1 : -1 0\n1 : {WORD} 0\n", 2,
+                        "bad exponent vector '" + "x" * 40 + CUT.format(5002) + "'"),
+    "duplicate exponents": (LaurentPoly.from_text, f"1 : {LONG} 0\n2 : {LONG} 0\n", 2,
+                            "duplicate exponent vector (" + "7" * 39 + CUT.format(4005)),
+    "dim": (LaurentPoly.from_text, f"# dim 2\n# dim {LONG}\n", 2,
+            "'# dim " + "7" * 40 + CUT.format(4000) + "' contradicts dimension 2"),
+    "series index": (PowerSeries.from_text, f"0 1\n{WORD} 5\n", 2,
+                     "bad index '" + "x" * 40 + CUT.format(5000) + "'"),
+    "duplicate index": (PowerSeries.from_text, f"0 1\n{LONG} 5\n{LONG} 6\n", 3,
+                        "duplicate index " + "7" * 40 + CUT.format(4000)),
+    "operator rows": (DOperator.from_text, f"order 0, tdeg {LONG}\n1\n", None,
+                      "expected " + "7" * 40 + CUT.format(4000) + " coefficient rows, got 1"),
+    "operator row": (DOperator.from_text, f"order {LONG}, tdeg 0\n1 2\n", 2,
+                     "expected " + "7" * 40 + CUT.format(4000) + " coefficients, got 2"),
+    "orbit point": (SupportAnsatz.from_text, f"{LONG} 0 : a : free\n{LONG} 0 : b : free\n", 2,
+                    "point (" + "7" * 39 + CUT.format(4005) + " appears in two orbits"),
+    "orbit label": (SupportAnsatz.from_text, f"1 0 : {WORD} : free\n0 1 : {WORD} : fixed 1\n",
+                    2, "orbit '" + "x" * 40 + CUT.format(5000)
+                    + "' has conflicting domain annotations"),
+    "domain kind": (SupportAnsatz.from_text, f"1 0 : a : {WORD}\n", 1,
+                    "unknown domain kind '" + "x" * 40 + CUT.format(5000) + "'"),
+    "meta line": (catalog.loads, V16_RECORD.replace("genus: 9", WORD), 3,
+                  "bad meta line '" + "x" * 40 + CUT.format(5000) + "'"),
+    "section": (catalog.loads, f"[{WORD}]\n", 1,
+                "unknown section '" + "x" * 40 + CUT.format(5000) + "'"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+def test_errors_quote_at_most_40_characters_of_a_field(field):
+    parse, text, line, message = HUGE_FIELDS[field]
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.message) == (line, message)
+    assert len(message) < 120
+
+
 def test_parse_ints_reads_signed_ascii_integers_only():
     assert parse_ints(" -3 +4\t0 ") == (-3, 4, 0)
     assert parse_ints("") == ()
