@@ -19,6 +19,7 @@ import math
 import operator
 import re
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from . import linalg
@@ -45,7 +46,10 @@ QUOTE_LIMIT = 40
 def clip(field):
     """str(field) as an error message quotes it: at most QUOTE_LIMIT characters
     of it, followed by '... (n characters)' when it is longer."""
-    text = str(field)
+    try:
+        text = str(field)
+    except ValueError:  # an int past sys.get_int_max_str_digits(); Decimal(int) has no limit
+        text = str(Decimal(field))
     if len(text) <= QUOTE_LIMIT:
         return text
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
@@ -485,19 +489,38 @@ class PowerSeries:
         return cls(entries[i] for i in range(gap))
 
 
+# The most terms f^K, K = ceil(N/2), may have at a depth N that
+# constant_term_series takes: a bound on its time and memory, checked before
+# the first power.  The estimate is the lesser of two upper bounds: the
+# lattice points of K times the narrowed exponent box, the product of
+# K width + 1 over the rows of _narrowed, and the multisets of K of the T
+# terms of f, C(T + K - 1, K); so f and its unimodular images get the same
+# answer.  In Python 3.11, V16 at N=80 (5.3e5, the box) takes 19-25 s and
+# 123 MiB, and x + y + z + 1/(xyz) at N=300 (5.9e5, the multisets) 34 s and
+# 182 MiB, so a refused series would have run for about a minute or more.
+MAX_SERIES_TERMS = 1_000_000
+
+
 def constant_term_series(f, N):
     """phi(i) for i = 0..N, expanding f only up to ceil(N/2); see constant_term_levels.
 
     On the rows of _rows, level i is one integer whose slot i h is
     D^i phi(i).  Every slot below it lies in (-2^(W-1), 2^(W-1)), so adding
     half of 2^(W i h) before the shift takes their borrow back; one-slot
-    rows (W = h = 0) hold D^i phi(i) whole.
+    rows (W = h = 0) hold D^i phi(i) whole.  A depth whose f^ceil(N/2) may
+    have more than MAX_SERIES_TERMS terms is refused with ValueError.
     """
     if not isinstance(f, LaurentPoly):
         raise TypeError("constant_term_series expects a LaurentPoly")
     if N < 0:
         raise ValueError("series order must be nonnegative")
-    rows, width, h, scale = _rows(f._terms, N)
+    cols, K = _narrowed(f._terms), (N + 1) // 2
+    estimate = min(math.prod(K * _width(col) + 1 for col in cols),
+                   math.comb(max(len(f), 1) + K - 1, K))  # f = 0 counts as one term
+    if estimate > MAX_SERIES_TERMS:
+        raise ValueError(f"series order {clip(N)}: f^{clip(K)} may have up to {clip(estimate)}"
+                         f" terms, over {MAX_SERIES_TERMS}")
+    rows, width, h, scale = _rows(f._terms, N, cols)
     out = []
     for i, level in enumerate(constant_term_levels(rows, N)):
         slot = level[0]
@@ -540,7 +563,7 @@ def _narrowed(points):
 _ROW_BITS = 1 << 14
 
 
-def _rows(terms, N):
+def _rows(terms, N, cols=None):
     """f as rows of integers for phi(0..N): (rows, W, h, D), with g = D f integral.
 
     D is the lcm of the denominators of f.  Where packing pays, the axis of
@@ -559,13 +582,14 @@ def _rows(terms, N):
     and (1 + x + y)(1 + 1/x + 1/y) 2.2 times at N=80 (20655-bit rows), where
     each level's whole-row products cost more than the power steps save.
     Since bits(S^N) > N (bits(S) - 1), a depth past that bound is refused
-    before narrowing, and S^N is never built there.
+    at once, and S^N is never built there.  `cols` are the
+    narrowed rows of `terms` when the caller has them.
     """
     scale = math.lcm(*(c.denominator for c in terms.values()))
     coeffs = [int(c * scale) for c in terms.values()]
     S, K = sum(map(abs, coeffs)), (N + 1) // 2
     if len(terms) > 1 and N * (S.bit_length() - 1) < _ROW_BITS:
-        cols = _narrowed(terms)
+        cols = _narrowed(terms) if cols is None else cols
         base = 2 * max(max(map(abs, col)) for col in cols) * max(K, 2) + 1
         keys = [pack_exponents(p, base) for p in zip(*cols)]
         rests = [{k - e * base**axis for k, e in zip(keys, col)} for axis, col in enumerate(cols)]

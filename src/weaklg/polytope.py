@@ -293,12 +293,12 @@ def anticanonical_sections(P):
 def picard_rank(P):
     """Picard rank of the toric variety of the face fan of P.
 
-    Builds one unknown linear functional per facet cone and constrains the
-    cones through each vertex to agree there, chained so that k cones give
-    k - 1 rows; this forces agreement on whole shared faces.  These
-    piecewise-linear functions are the T-Cartier divisors; modulo the n
-    global linear functions they give the Picard group, so the answer is the
-    solution-space dimension minus n.
+    A T-Cartier divisor is a function that is linear on each facet cone, so
+    it is fixed by its values on the vertices, the rays of the fan.  Values
+    extend linearly over a facet exactly when they satisfy every linear
+    dependency among that facet's vertices, which span R^n: one row per
+    dependency, one column per vertex.  Modulo the n global linear functions
+    they give the Picard group, so for V vertices the rank is V - n - rank(rows).
     This is the rank of the divisor class group only when the fan is
     simplicial: the face fan of [-1,1]^3 gives 1, while its class group has
     rank 5.
@@ -307,21 +307,16 @@ def picard_rank(P):
     _require_origin_interior(P)
     if not P.is_integral():
         raise ValueError("picard_rank expects a lattice polytope")
-    facets = P.facets
-    through = {}
-    for i, facet in enumerate(facets):
-        for w in P.facet_vertices(facet):
-            through.setdefault(w, []).append(i)
-    cols = n * len(facets)
+    column = {v: i for i, v in enumerate(P.vertices)}
     rows = []
-    for w, cones in through.items():
-        for i, j in zip(cones, cones[1:]):
-            row = [0] * cols
-            for k in range(n):
-                row[n * i + k] = w[k]
-                row[n * j + k] = -w[k]
+    for facet in P.facets:
+        verts = P.facet_vertices(facet)
+        for dependency in linalg.nullspace(list(zip(*verts))):
+            row = [0] * len(column)
+            for v, x in zip(verts, dependency):
+                row[column[v]] = x
             rows.append(row)
-    return cols - linalg.rank(rows) - n
+    return len(column) - n - linalg.rank(rows)
 
 
 class InvariantReport(collections.namedtuple(

@@ -347,10 +347,11 @@ def volume_by_facet_cones(P):
 def picard_rank_all_pairs(P):
     """Picard rank of the face fan with every pair of cones made to agree.
 
-    One row per (facet pair, shared vertex), so a vertex on k facets gives
-    k(k-1)/2 rows where the library's chain gives k - 1; equality is
-    transitive, so the solution space is the same.  Lattice polytopes with
-    the origin in the interior only, in any dimension.
+    One unknown linear functional per facet cone (n columns each) and one
+    row per (facet pair, shared vertex) forcing two cones to agree there:
+    the piecewise-linear functions themselves, where the library solves for
+    their values on the vertices.  Lattice polytopes with the origin in the
+    interior only, in any dimension.
     """
     n = P.dimension
     facets = P.facets

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,32 @@ def test_a_huge_field_gives_a_bounded_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: line 2: bad rational '1e" + "9" * 38 + "... (3000 characters)'\n"
     assert len(err) == 92
+
+
+def test_deep_series_exit_2_before_the_first_power(tmp_path, capsys):
+    poly = tmp_path / "sparse.poly"
+    poly.write_text("1 : 1 0 0\n1 : 0 1 0\n1 : 0 0 1\n1 : -1 -1 -1\n")
+    for N in ("1000", "100000"):
+        start = time.perf_counter()
+        assert main(["series", "-f", str(poly), "-N", N]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: series order {N}: ") and err.count("\n") == 1
+
+
+def test_operator_header_counts_past_the_int_to_str_limit(tmp_path, capsys):
+    """4300 nines parse, and one more row or coefficient has 4301 digits, which str() refuses."""
+    count = "1" + "0" * 39 + "... (4301 characters)"
+    for header, message in (
+        ("order 0, tdeg " + "9" * 4300, f"error: expected {count} coefficient rows, got 1\n"),
+        ("order " + "9" * 4300 + ", tdeg 0", f"error: line 2: expected {count} coefficients, got 1\n"),
+    ):
+        op = tmp_path / "nines.op"
+        op.write_text(header + "\n0\n")
+        assert main(["solve", "-L", str(op)]) == 2
+        err = capsys.readouterr().err
+        assert err == message
+        assert len(err) <= 120
 
 
 INTEGER_FIELD_CASES = [

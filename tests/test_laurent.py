@@ -418,6 +418,39 @@ def test_huge_depths_take_one_slot_rows_without_building_s_to_the_n():
         assert (len(rows), width, h, scale) == (len(f), 0, 0, 1)
 
 
+def test_deep_series_are_refused_alike_for_f_and_its_images():
+    """f^K has exactly C(K + 3, 3) terms, under the narrowed box (2K + 1)^3, whatever the map."""
+    sparse = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
+    rng = random.Random(1000)
+    for f in [sparse] + [substitute_monomial(sparse, random_unimodular(rng)) for _ in range(5)]:
+        for N, estimate in ((1000, math.comb(503, 3)), (100000, math.comb(50003, 3))):
+            with pytest.raises(ValueError) as info:
+                constant_term_series(f, N)
+            assert str(info.value) == (f"series order {N}: f^{(N + 1) // 2} may have up to"
+                                       f" {estimate} terms, over {laurent.MAX_SERIES_TERMS}")
+
+
+def test_catalog_models_at_depth_80_stay_under_the_series_bound(monkeypatch):
+    """Each estimate is 81^3, checked against a bound one below it; the expansion is stubbed."""
+    class Expanded(Exception):
+        pass
+
+    def expand(rows, N):
+        raise Expanded
+
+    monkeypatch.setattr(laurent, "constant_term_levels", expand)
+    rng = random.Random(80)
+    for name in ("V16", "V18", "V22"):
+        f = catalog.builtin(name).model
+        for g in (f, substitute_monomial(f, random_unimodular(rng))):
+            with pytest.raises(Expanded):
+                constant_term_series(g, 80)
+            with monkeypatch.context() as m:
+                m.setattr(laurent, "MAX_SERIES_TERMS", 81**3 - 1)
+                with pytest.raises(ValueError, match=f"may have up to {81**3} terms"):
+                    constant_term_series(g, 80)
+
+
 def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
     f = catalog.builtin("V16").model
     want = constant_term_series(f, 24)

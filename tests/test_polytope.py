@@ -373,7 +373,7 @@ def test_picard_rank_of_newton_polytopes():
         assert picard_rank(P) == 1
 
 
-def test_picard_rank_chain_matches_all_pairs_oracle():
+def test_picard_rank_vertex_dependencies_match_all_pairs_oracle():
     polytopes = [p3_simplex(), octahedron(), cube()]
     polytopes += [newton_polytope(catalog.builtin(name).model) for name in ("V16", "V18", "V22")]
     # the images under GL(3,Z) have the same rank, checked above
@@ -386,6 +386,8 @@ def test_picard_rank_chain_matches_all_pairs_oracle():
     for _ in range(6):
         extra = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(rng.randint(1, 4))]
         polytopes.append(convex_hull(list(cross.vertices) + extra))
+    # 8 facets of 8 vertices each: dependency rows in dimension 4
+    polytopes.append(convex_hull(list(itertools.product((-1, 1), repeat=4))))
     for P in polytopes:
         assert picard_rank(P) == picard_rank_all_pairs(P)
 
