@@ -201,11 +201,6 @@ def load(path):
         return _warn_on_degree(_parse(handle.read()))
 
 
-def save(record, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(record))
-
-
 # The builtin records in the catalog format, separated by blank lines.  Each
 # operator section keeps the operator's factored form as a comment.
 _RECORDS = """\

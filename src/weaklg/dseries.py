@@ -137,14 +137,25 @@ class DOperator(namedtuple("DOperator", "table")):
         return cls(rows)
 
 
+# The highest order solve_series takes: a bound on its time, checked before
+# the recurrence, whose coefficients grow in bits with the order.  In Python
+# 3.11, V22's stored operator takes 0.7 s at N=1000, 4.9 s at 2000, 21 s at
+# 3000 and 46 s at 4000, so a refused V22 solve would have run for about a
+# minute or more; V16's takes 0.08 s at 4000 and 4.7 s at 32000.
+MAX_SOLVE_ORDER = 4000
+
+
 def solve_series(op, N):
     """The unique solution with a_0 = 1, through order N.
 
     Requires P_0(0) = 0, since order 0 of L s is P_0(0) a_0, and
-    P_0(k) != 0 for 1 <= k <= N; the first failing k is reported.
+    P_0(k) != 0 for 1 <= k <= N; the first failing k is reported.  An
+    order over MAX_SOLVE_ORDER is refused with ValueError.
     """
     if N < 0:
         raise ValueError("series order must be nonnegative")
+    if N > MAX_SOLVE_ORDER:
+        raise ValueError(f"series order {clip(N)} is over {MAX_SOLVE_ORDER}, the most a solve takes")
     if op.table[0][0]:
         raise ValueError(f"P_0(0) = {format_rational(op.table[0][0])}, not 0: "
                          "no series with a_0 = 1 is annihilated")

@@ -300,18 +300,6 @@ class LaurentPoly:
         self._n = n
         self._terms = {e: normalize_rational(c) for e, c in data.items() if c}
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n, value):
-        return cls(n, {(0,) * n: value})
-
-    @classmethod
-    def monomial(cls, n, exps, coeff=1):
-        return cls(n, {tuple(exps): coeff})
-
     @property
     def dimension(self):
         return self._n
@@ -319,10 +307,6 @@ class LaurentPoly:
     def terms(self):
         """Sorted (exponents, coefficient) pairs."""
         return tuple(sorted(self._terms.items()))
-
-    def term_map(self):
-        """Defensive copy of the raw exponent-to-coefficient dict."""
-        return dict(self._terms)
 
     def support(self):
         return tuple(sorted(self._terms))
@@ -456,9 +440,6 @@ class PowerSeries:
             raise ValueError(f"cannot truncate order-{self.order} series at {N}")
         return PowerSeries(self._coeffs[: N + 1])
 
-    def is_zero(self):
-        return all(c == 0 for c in self._coeffs)
-
     def __repr__(self):
         head = ", ".join(format_rational(c) for c in self._coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
@@ -490,12 +471,12 @@ class PowerSeries:
 
 
 # The most terms f^K, K = ceil(N/2), may have at a depth N that
-# constant_term_series takes: a bound on its time and memory, checked before
-# the first power.  The estimate is the lesser of two upper bounds: the
-# lattice points of K times the narrowed exponent box, the product of
-# K width + 1 over the rows of _narrowed, and the multisets of K of the T
-# terms of f, C(T + K - 1, K); so f and its unimodular images get the same
-# answer.  In Python 3.11, V16 at N=80 (5.3e5, the box) takes 19-25 s and
+# constant_term_series or the search's level expansion takes: a bound on
+# their time and memory, checked before the first power.  The series'
+# estimate is the lesser of two upper bounds: the lattice points of K times
+# the narrowed exponent box, the product of K width + 1 over the rows of
+# _narrowed, and the multisets of K of the T terms of f, C(T + K - 1, K); so
+# f and its unimodular images get the same answer.  In Python 3.11, V16 at N=80 (5.3e5, the box) takes 19-25 s and
 # 123 MiB, and x + y + z + 1/(xyz) at N=300 (5.9e5, the multisets) 34 s and
 # 182 MiB, so a refused series would have run for about a minute or more.
 MAX_SERIES_TERMS = 1_000_000

@@ -33,9 +33,9 @@ def _dot(a, x):
 class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension vertices facets")):
     """Full-dimensional polytope with rational vertices, as a named tuple.
 
-    Instances are produced by convex_hull and dual rather than built by hand;
-    construction sorts and normalises the vertices and facets and otherwise
-    checks only their shape.
+    Instances are produced by convex_hull (integer vertices) and dual rather
+    than built by hand; construction sorts and normalises the vertices and
+    facets and otherwise checks only their shape.
     """
 
     __slots__ = ()
@@ -71,18 +71,6 @@ class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension ver
     def facet_vertices(self, facet):
         a, c = facet
         return tuple(v for v in self.vertices if _dot(a, v) == c)
-
-
-class LatticePolytope(RationalPolytope):
-    """Polytope whose vertices are integer lattice points."""
-
-    __slots__ = ()
-
-    def __new__(cls, dimension, vertices, facets):
-        self = super().__new__(cls, dimension, vertices, facets)
-        if not self.is_integral():
-            raise ValueError("lattice polytope vertices must be integers")
-        return self
 
     def to_text(self):
         return "\n".join(" ".join(str(x) for x in v) for v in self.vertices) + "\n"
@@ -177,7 +165,7 @@ def convex_hull(points):
         incident = [a for a, c in facet_list if _dot(a, p) == c]
         if len(linalg.echelon(incident)[1]) == n:
             vertices.append(p)
-    return LatticePolytope(n, vertices, facet_list)
+    return RationalPolytope(n, vertices, facet_list)
 
 
 def polytope_from_text(text):
@@ -215,13 +203,9 @@ def lattice_points(P, strict=False):
     return tuple(p for p in itertools.product(*ranges) if P.contains(p, strict=strict))
 
 
-def interior_lattice_points(P):
-    return lattice_points(P, strict=True)
-
-
 def is_canonical(P):
     """True when the origin is the only interior lattice point."""
-    return interior_lattice_points(P) == ((0,) * P.dimension,)
+    return lattice_points(P, strict=True) == ((0,) * P.dimension,)
 
 
 def _require_origin_interior(P):
@@ -335,10 +319,6 @@ class InvariantReport(collections.namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def matches_expected(self):
-        return not self.mismatches
 
     def to_document(self):
         lines = [

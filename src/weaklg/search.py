@@ -30,6 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import (
+    MAX_SERIES_TERMS,
     LaurentPoly,
     ParseError,
     PointDims,
@@ -356,11 +357,21 @@ def _level_polynomials(ansatz, depth):
     matter within `depth` are absent.  `levels` substitutes the fixed values:
     entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
     ansatz order) to nonzero int or Fraction coefficients.
+
+    Each term of f^K, K = ceil(depth/2), is an exponent and an orbit monomial
+    from a multiset of K of the T support points, so a depth whose
+    C(T + K - 1, K) passes MAX_SERIES_TERMS is refused with ValueError
+    before the expansion.
     """
+    support, K = ansatz.support(), (depth + 1) // 2
+    count = math.comb(len(support) + K - 1, K)
+    if count > MAX_SERIES_TERMS:
+        raise ValueError(f"search depth {clip(depth)}: f^{clip(K)} may have up to {clip(count)}"
+                         f" terms, over {MAX_SERIES_TERMS}")
     digit = depth + 1
     specs = ansatz.orbits
     split = digit ** len(specs)
-    base = 2 * max(abs(x) for p in ansatz.support() for x in p) * ((depth + 1) // 2) + 1
+    base = 2 * max(abs(x) for p in support for x in p) * K + 1
     terms = {
         pack_exponents(point, base) * split + digit**j: 1
         for j, spec in enumerate(specs) for point in spec.points

@@ -9,7 +9,7 @@ from weaklg import linalg
 from weaklg.laurent import (
     DimensionMismatch, LaurentPoly, normalize_rational, substitute_monomial,
 )
-from weaklg.polytope import LatticePolytope, NotFullDimensional
+from weaklg.polytope import NotFullDimensional, RationalPolytope
 
 
 def random_laurent(rng, n=3, max_terms=8, box=2, coeff_bound=5):
@@ -83,7 +83,7 @@ def phi_bruteforce(f, N):
     Written without any laurent-module helpers so the two implementations
     cross-check each other on random inputs.
     """
-    base = f.term_map()
+    base = dict(f.terms())
     origin = (0,) * f.dimension
     power = {origin: 1}
     out = [1]
@@ -101,8 +101,8 @@ def phi_bruteforce(f, N):
 def multiply_bruteforce(f, g):
     """f * g by nested-loop convolution on exponent tuples, as an oracle."""
     acc = {}
-    for e1, c1 in f.term_map().items():
-        for e2, c2 in g.term_map().items():
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
             e = tuple(a + b for a, b in zip(e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
     return LaurentPoly(f.dimension, acc)
@@ -122,7 +122,7 @@ def random_mutation_pair(rng, n=3):
     """
     flat = [tuple(rng.randint(-1, 1) for _ in range(n - 1)) for _ in range(rng.randint(2, 3))]
     factor = LaurentPoly(n, {e + (0,): rng.choice((1, 1, 2, -1)) for e in flat})
-    f = f_prime = LaurentPoly.zero(n)
+    f = f_prime = LaurentPoly(n)
     for h in range(-2, 3):
         count = rng.randint(1, 3) if h else rng.randint(0, 2)
         terms = {
@@ -297,7 +297,7 @@ def hull_bruteforce(points):
         incident = [a for a, c in facet_list if _dot(a, p) == c]
         if len(incident) >= n and rank_bareiss(incident) == n:
             vertices.append(p)
-    return LatticePolytope(n, vertices, facet_list)
+    return RationalPolytope(n, vertices, facet_list)
 
 
 def _facet_edges(P, facet, table):

@@ -91,7 +91,7 @@ def test_03_v22_mismatch_is_reported_and_an_operator_refits(capsys):
         phi35 = constant_term_series_mitm(rec.model, 35)
         basis = fit_operator(phi35.truncate(25), 3, 4)
         assert basis
-        assert apply_operator(basis[0], phi35).is_zero()
+        assert not any(apply_operator(basis[0], phi35))
 
 
 def _invariance_corpus():

@@ -92,7 +92,7 @@ def test_v22_record_documents_its_mismatch():
     phi = constant_term_series(rec.model, 8)
     assert list(phi)[:3] == [1, 4, 28]
     assert solve_series(rec.derived_operator, 8) == phi
-    assert apply_operator(rec.derived_operator, phi).is_zero()
+    assert not any(apply_operator(rec.derived_operator, phi))
 
 
 def test_no_rescaling_reconciles_the_v22_operator():
@@ -174,7 +174,7 @@ def test_dumps_loads_round_trip():
 
 def test_save_load_files(tmp_path):
     path = tmp_path / "v18.rec"
-    catalog.save(catalog.builtin("V18"), path)
+    path.write_text(catalog.dumps(catalog.builtin("V18")), encoding="utf-8")
     assert catalog.load(path) == catalog.builtin("V18")
 
 
@@ -187,7 +187,7 @@ def test_load_warns_on_degree_genus_disagreement():
 def test_degree_warning_points_at_the_callers_line(tmp_path):
     """Both `loads` and `load` attribute the warning to their caller."""
     path = tmp_path / "bad-degree.rec"
-    catalog.save(catalog.builtin("V16")._replace(degree=17), path)
+    path.write_text(catalog.dumps(catalog.builtin("V16")._replace(degree=17)), encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         catalog.loads(path.read_text(encoding="utf-8"))

@@ -106,6 +106,8 @@ def test_verify_derived_needs_a_derived_operator(capsys):
     (["fit", "-s", "v16.series", "-m", "-1", "-r", "2"],
      "order and t-degree bounds must be nonnegative"),
     (["verify", "--catalog", "V16", "-N", "0"], "verification order must be at least 1"),
+    (["solve", "-L", "v16.op", "-N", "100000000"],
+     "series order 100000000 is over 4000, the most a solve takes"),
 ])
 def test_out_of_range_depths_and_bounds_exit_2(v16_files, monkeypatch, capsys, argv, message):
     directory = v16_files[1].parent
@@ -314,6 +316,22 @@ def test_deep_series_exit_2_before_the_first_power(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"error: series order {N}: ") and err.count("\n") == 1
+
+
+def test_deep_search_exits_2_before_the_level_expansion(tmp_path, capsys):
+    """The all-free S3-orbit V18 ansatz has 16 points: C(30, 15) multisets at depth 30."""
+    support = catalog.builtin("V18").model.support()
+    labels = {orbit: k for k, orbit in enumerate(sorted({tuple(sorted(p)) for p in support}))}
+    ansatz = tmp_path / "v18-free.ansatz"
+    ansatz.write_text("".join(f"{' '.join(map(str, p))} : o{labels[tuple(sorted(p))]} : free\n"
+                              for p in support))
+    start = time.perf_counter()
+    assert main(["search", "-a", str(ansatz), "--catalog", "V18", "--prime", "7",
+                 "--depth", "30", "--verify-depth", "30"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: search depth 30: f^15 may have up to 155117520 terms, over 1000000\n"
+    )
 
 
 def test_operator_header_counts_past_the_int_to_str_limit(tmp_path, capsys):

@@ -78,7 +78,7 @@ def _write_inputs(directory):
                            * LaurentPoly(3, {(0, 0, 1): 1, (0, 0, 0): 1})
                            * LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
                            * LaurentPoly(3, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
-                           * LaurentPoly.monomial(3, (-1, -1, -1))).to_text()
+                           * LaurentPoly(3, {(-1, -1, -1): 1})).to_text()
     files["apery.op"] = "order 3, tdeg 2\n0 0 0 1\n-5 -27 -51 -34\n1 3 3 1\n"
     for name, text in files.items():
         (directory / name).write_text(text)

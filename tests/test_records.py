@@ -2,7 +2,7 @@
 
 Every record (FanoRecord, VerificationReport, ClearingReport,
 InvariantReport and the six search records) and every input type of the
-method (SupportAnsatz, DOperator, RationalPolytope and LatticePolytope) is a
+method (SupportAnsatz, DOperator and RationalPolytope) is a
 `collections.namedtuple` subclass.  Validation and normalisation run in
 `__new__`, so only the types' own `_replace` and `_make` skip them.
 """
@@ -19,7 +19,7 @@ import weaklg
 from weaklg import catalog
 from weaklg.dseries import DOperator, VerificationReport, verify_weak_lg
 from weaklg.laurent import ClearingReport, PowerSeries
-from weaklg.polytope import InvariantReport, LatticePolytope, RationalPolytope, convex_hull
+from weaklg.polytope import InvariantReport, RationalPolytope, convex_hull, dual, picard_rank
 from weaklg.search import (
     CoefficientDomain,
     OrbitSpec,
@@ -28,6 +28,7 @@ from weaklg.search import (
     SearchResult,
     SearchStats,
     SupportAnsatz,
+    orbits,
 )
 
 from test_trace_contract import _spans
@@ -71,7 +72,7 @@ def test_records_construct_by_position_and_keyword():
                                   verify_depth=4)
     assert config.primes == (5, 7)
     report = InvariantReport(True, True, 64, 35, 1, None, None, ())
-    assert report.matches_expected and report.picard_rank == 1
+    assert report.mismatches is None and report.picard_rank == 1
     v16 = catalog.builtin("V16")
     assert (v16.derived_operator, v16.known_discrepancy, v16.notes[:6]) == (None, None, "rank-1")
     assert catalog.FanoRecord("X", 2, 2, 4, 1, v16.operator).notes == ""
@@ -163,8 +164,10 @@ def test_records_are_immutable(record, field):
     (lambda: RationalPolytope(2, [(1,)], [((1, 0), 1)]), "vertex (1,) does not have dimension 2"),
     (lambda: RationalPolytope(2, [(1, 0)], [((1,), 1)]),
      "facet normal (1,) does not have dimension 2"),
-    (lambda: LatticePolytope(1, [(Fraction(1, 2),), (-1,)], [((1,), Fraction(1, 2)), ((-1,), 1)]),
-     "lattice polytope vertices must be integers"),
+    (lambda: picard_rank(dual(convex_hull([(2,), (-1,)]))), "picard_rank expects a lattice polytope"),
+    (lambda: orbits([], []), "no points to partition"),
+    (lambda: orbits([(1,), (1, 0)], []), "points have inconsistent dimensions"),
+    (lambda: orbits([(1, 0), (0, 1)], [((0, 1),)]), "generator must be a 2x2 integer matrix"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
@@ -187,7 +190,6 @@ def test_records_normalise_their_fields():
     (SupportAnsatz, ("dimension", "orbits")),
     (DOperator, ("table",)),
     (RationalPolytope, ("dimension", "vertices", "facets")),
-    (LatticePolytope, ("dimension", "vertices", "facets")),
 ])
 def test_method_inputs_are_named_tuples_with_validation_only(cls, fields):
     assert issubclass(cls, tuple) and cls._fields == fields
@@ -207,7 +209,7 @@ def test_method_inputs_unpack_compare_and_construct_by_keyword():
     assert op == (((0, 1), (2, 1)),) and type(op.table[1][0]) is int
     assert op._replace(table=((0, 1),)).order == 1
     segment = convex_hull([(3,), (-1,), (1,)])
-    assert type(segment) is LatticePolytope
+    assert type(segment) is RationalPolytope
     assert segment == RationalPolytope(1, [(-1,), (3,)], [((-1,), 1), ((1,), 3)])
     assert segment[1] == segment.vertices == ((-1,), (3,))
     assert segment._replace(dimension=1) == segment
@@ -220,7 +222,7 @@ def test_method_input_reprs():
     )
     assert repr(DOperator([[0, 1]])) == "DOperator(order=1, t_degree=0)"
     assert repr(convex_hull([(3,), (-1,)])) == (
-        "LatticePolytope(dimension=1, vertices=((-1,), (3,)), facets=(((-1,), 1), ((1,), 3)))"
+        "RationalPolytope(dimension=1, vertices=((-1,), (3,)), facets=(((-1,), 1), ((1,), 3)))"
     )
 
 

@@ -323,6 +323,17 @@ def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
         search_mod_p(ansatz, config)
 
 
+def test_search_mod_p_refuses_a_depth_whose_multisets_pass_the_series_bound(monkeypatch):
+    """f^K has at most C(T + K - 1, K) terms for T support points: K + 1 here."""
+    target = target_for(planted_1d(3))
+    ansatz = ansatz_1d(CoefficientDomain.free())
+    monkeypatch.setattr("weaklg.search.MAX_SERIES_TERMS", 4)
+    config = SearchConfig(target=target, primes=(5,), depth=6, verify_depth=8)
+    assert search_mod_p(ansatz, config).survivors == {5: ((3,),)}
+    with pytest.raises(ValueError, match=r"^search depth 7: f\^4 may have up to 5 terms, over 4$"):
+        search_mod_p(ansatz, config._replace(depth=7))
+
+
 def test_search_mod_p_expands_the_level_polynomials_once(monkeypatch):
     """One expansion serves every prime, and search() expands once for both stages."""
     depths = []
