@@ -220,8 +220,9 @@ def fit_operator(series, m, r, N=None):
         raise ValueError(
             f"prefix too short: need N >= {minimum} for order {m}, t-degree {r}, got {N}"
         )
+    s = series.coefficients()
     rows = [
-        [series[k - j] * (k - j) ** l if k >= j else 0 for j in range(r + 1) for l in range(m + 1)]
+        [s[k - j] * (k - j) ** l if k >= j else 0 for j in range(r + 1) for l in range(m + 1)]
         for k in range(N + 1)
     ]
     basis = linalg.nullspace(rows, ncols=unknowns)

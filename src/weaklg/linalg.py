@@ -1,10 +1,11 @@
 """Small exact linear algebra helpers over the rationals.
 
 Matrices are plain sequences of rows, scaled to integers.  There are two
-eliminations.  Large rational systems go through `nullspace`, modulo primes and
-certified by one exact integer product, and `rank` is read off it.  Small
-integer matrices, such as the hull's edge vectors and facet normals, go through
-the fraction-free `echelon`, and `det` is its square case.
+eliminations.  Large rational systems go through `nullspace`, modulo primes on
+rows packed one int each, and certified by checking every basis vector against
+every row in exact integers; `rank` is read off it.  Small integer matrices,
+such as the hull's edge vectors and facet normals, go through the
+fraction-free `echelon`, and `det` is its square case.
 """
 
 from __future__ import annotations
@@ -66,23 +67,47 @@ def _primes():
 
 
 def _rref_mod(rows, ncols, p):
-    """(RREF mod p, pivot columns, source rows); only pivot rows are reduced."""
-    a = [[x % p for x in row] for row in rows]
-    order, pivots = list(range(len(a))), []
+    """(pivot rows of the RREF mod p, pivot columns, source rows).
+
+    Each row is packed into one int, entry j in bits [j w, (j + 1) w) with
+    w = 2 bits(p) + bits(#rows) + 1 (Kronecker packing, as in `laurent`).
+    Entries stay nonnegative and are reduced mod p only where they are read:
+    an update adds (p - f) times a row reduced mod p, under p^2 per entry,
+    and no row takes more updates than there are rows, so no entry carries
+    into the next.  Forward elimination shifts each finished column out of
+    the rows left; back-substitution then runs on the pivot rows only.
+    """
+    w = 2 * p.bit_length() + len(rows).bit_length() + 1
+    mask = (1 << w) - 1
+
+    def pack(xs):
+        return sum(x % p << w * j for j, x in enumerate(xs))
+
+    def unpack(v, k):
+        return [(v >> w * j & mask) % p for j in range(k)]
+
+    left, pivots, order, tops = [(pack(row), i) for i, row in enumerate(rows)], [], [], []
     for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(a)) if a[i][c] % p), None)
-        if k is None:
-            continue
-        a[r], a[k], order[r], order[k] = a[k], a[r], order[k], order[r]
-        inv = pow(a[r][c], -1, p)
-        top = a[r][c:] = [x * inv % p for x in a[r][c:]]
-        for i, row in enumerate(a):
-            f = row[c] % p
-            if f and i != r:
-                row[c:] = [x - f * y for x, y in zip(row[c:], top)]
-        pivots.append(c)
-    return a, pivots, order[: len(pivots)]
+        k = next((i for i, (v, _) in enumerate(left) if (v & mask) % p), None)
+        if k is not None:
+            v, source = left[k]
+            left[k] = left[0]
+            del left[0]
+            xs = unpack(v, ncols - c)
+            inv = pow(xs[0], -1, p)
+            top = pack([x * inv for x in xs])
+            left = [(v + (-(v & mask) % p) * top, i) for v, i in left]
+            pivots.append(c)
+            order.append(source)
+            tops.append(top)
+        left = [(v >> w, i) for v, i in left]
+    ech = []
+    for i, (c, v) in enumerate(zip(pivots, tops)):
+        # Each later echelon row clears its pivot column here, in column order.
+        for d, u in zip(pivots[i + 1 :], tops[i + 1 :]):
+            v += (-(v >> (d - c) * w & mask) % p) * u << (d - c) * w
+        ech.append([0] * c + unpack(v, ncols - c))
+    return ech, pivots, order
 
 
 def _reconstruct(xs, m):

@@ -1,12 +1,13 @@
 """Exact lattice and rational polytopes with the toric invariants used here.
 
 Hulls of integer points come from an incremental beneath-beyond
-construction in integer arithmetic: facet normals are signed minors of
-difference vectors, so no rational arithmetic enters.  Facets are stored as
-(primitive integer normal a, offset c) with the polytope on the side
-<a, x> <= c; when the origin is strictly interior every offset is positive
-and the polar dual has vertices -a/c.  The hull's boundary triangulation
-also gives the volume, so every invariant works in any dimension.
+construction in integer arithmetic that inserts the points farthest from
+their centroid first: facet normals are signed minors of difference vectors,
+so no rational arithmetic enters.  Facets are stored as (primitive integer
+normal a, offset c) with the polytope on the side <a, x> <= c; when the
+origin is strictly interior every offset is positive and the polar dual has
+vertices -a/c.  The hull's boundary triangulation also gives the volume, so
+every invariant works in any dimension.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -27,7 +29,7 @@ class NotFullDimensional(ValueError):
 
 
 def _dot(a, x):
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(operator.mul, a, x))
 
 
 class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension vertices facets")):
@@ -102,10 +104,15 @@ def _boundary(pts):
     oriented away from `inside`, n + 1 times the centroid of the starting
     full-dimensional simplex.  A point strictly beyond some of them replaces
     those by the cones from the point over their horizon ridges, the ridges
-    that only one of the replaced simplices has.  The starting simplex's
-    edges are tested for independence by the pivot count of `linalg.echelon`.
+    that only one of the replaced simplices has.  The points go in farthest
+    first, by decreasing L1 distance from their centroid with ties in sorted
+    order, so that fewer cones are built only to be replaced.  The starting
+    simplex's edges are tested for independence by the pivot count of
+    `linalg.echelon`.
     """
-    n = len(pts[0])
+    n, m = len(pts[0]), len(pts)
+    centre = [sum(col) for col in zip(*pts)]
+    pts = sorted(pts, key=lambda p: (-sum(abs(m * x - c) for x, c in zip(p, centre)), p))
     base = pts[0]
     simplex, directions = [base], []
     for p in pts[1:]:
@@ -295,6 +302,9 @@ def picard_rank(P):
     rows = []
     for facet in P.facets:
         verts = P.facet_vertices(facet)
+        # n vertices on a hyperplane that misses the origin are independent.
+        if len(verts) == n:
+            continue
         for dependency in linalg.nullspace(list(zip(*verts))):
             row = [0] * len(column)
             for v, x in zip(verts, dependency):

@@ -235,6 +235,28 @@ def nullspace_bareiss(rows, ncols=None):
     return basis
 
 
+def rref_mod_gauss_jordan(rows, ncols, p):
+    """Plain Gauss-Jordan mod p, every entry reduced at once: the oracle for
+    the packed `linalg._rref_mod`.  (pivot rows, pivot columns, source rows);
+    the pivot of a column is the first row left that is nonzero there, and it
+    swaps places with the first row left."""
+    a = [[x % p for x in row] for row in rows]
+    order, pivots = list(range(len(a))), []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k], order[r], order[k] = a[k], a[r], order[k], order[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                a[i] = [(x - row[c] * y) % p for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots, order[: len(pivots)]
+
+
 def _hyperplane_normal(points):
     """Primitive integer normal of the hyperplane through n points, or None."""
     base = points[0]

@@ -1,15 +1,19 @@
 """Cross-checks of the exact linear algebra against sympy and the Bareiss
-oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of `echelon`
-against sympy, of `det` against the Leibniz formula, and of the primality test
-against trial division."""
+oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of the packed
+`_rref_mod` against `corpus.rref_mod_gauss_jordan`, of `echelon` against
+sympy, of `det` against the Leibniz formula, and of the primality test against
+trial division."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from corpus import det_leibniz, is_prime_trial, nullspace_bareiss, rank_bareiss
+from corpus import (
+    det_leibniz, is_prime_trial, nullspace_bareiss, rank_bareiss, rref_mod_gauss_jordan,
+)
 from weaklg import catalog, dseries, linalg
 from weaklg.laurent import constant_term_series
 
@@ -211,6 +215,34 @@ def test_nullspace_equals_bareiss_oracle_on_benchmark_fit_systems(monkeypatch):
     # 45 rows that prime picked.
     assert [(len(r), p) for r, p in calls[-2:]] == [(90, calls[-1][1]), (45, calls[-1][1])]
     assert len(calls[-1][1]) == 45
+
+
+def _most_updated_rows(p, nrows, ncols):
+    """Echelon rows e_i + (p - 1)(e_i+1 + ... ) and a last row that takes an
+    update from every one of them, each time by p - 1 times entries p - 1:
+    its entry i is 1 - i, so it reads 1 at every pivot column in turn."""
+    rows = [[0] * i + [1] + [p - 1] * (ncols - i - 1) for i in range(nrows - 1)]
+    return rows + [[(1 - i) % p for i in range(ncols)]]
+
+
+@pytest.mark.parametrize("p", [P61, 7])
+def test_packed_rref_mod_equals_gauss_jordan_oracle(p):
+    """Pivot rows, pivot columns and source rows all agree, on rows that load
+    one row's entries the most and on seeded fit-shaped 90 x 80 systems of
+    rank 45."""
+    systems = [_most_updated_rows(p, nrows, ncols) for nrows, ncols in ((2, 2), (15, 15), (16, 20))]
+    systems.append([[k * (p - 1)] * 9 for k in range(1, 17)])
+    for rows in systems:
+        ncols = len(rows[0])
+        assert linalg._rref_mod(rows, ncols, p) == rref_mod_gauss_jordan(rows, ncols, p)
+    rng = random.Random(p)
+    for _ in range(3):
+        left = [[rng.randint(-9, 9) for _ in range(45)] for _ in range(90)]
+        right = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(45)]
+        rows = [[sum(map(operator.mul, row, col)) for col in zip(*right)] for row in left]
+        got = linalg._rref_mod(rows, 80, p)
+        assert got == rref_mod_gauss_jordan(rows, 80, p)
+        assert len(got[1]) == 45
 
 
 def test_prime_generator_counts_down_from_the_mersenne_prime():

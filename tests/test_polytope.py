@@ -32,7 +32,7 @@ from weaklg.polytope import (
     polytope_from_text,
     volume,
 )
-from weaklg import catalog
+from weaklg import catalog, linalg
 
 
 def p3_simplex():
@@ -124,6 +124,23 @@ def test_hyperplane_normal_is_the_primitive_minor_vector():
             assert a in (tuple(m // g for m in minors), tuple(-m // g for m in minors))
             checked += 1
     assert checked > 50
+
+
+def test_hull_inserts_far_points_first(monkeypatch):
+    """The cones `_boundary` builds, counted at `_hyperplane_normal`: a change
+    of insertion order shows here as a count, not as a timing."""
+    cones = []
+    monkeypatch.setattr("weaklg.polytope._hyperplane_normal",
+                        lambda points: cones.append(points) or _hyperplane_normal(points))
+    rng = random.Random(200)
+    box = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(200)]
+    counts = []
+    for points in [box] + [catalog.builtin(name).model.support() for name in ("V16", "V18", "V22")]:
+        cones.clear()
+        convex_hull(points)
+        counts.append(len(cones))
+    assert len(set(box)) == 177
+    assert counts == [108, 38, 35, 36]
 
 
 def test_hull_skips_a_point_on_n_facets_with_dependent_normals():
@@ -370,6 +387,19 @@ def test_picard_rank_of_newton_polytopes():
     for name in ("V16", "V18", "V22"):
         P = newton_polytope(catalog.builtin(name).model)
         assert picard_rank(P) == 1
+
+
+def test_picard_rank_skips_the_nullspace_of_simplicial_facets(monkeypatch):
+    """n vertices of a facet, on a hyperplane that misses the origin, have no
+    dependency: the octahedron's 8 triangles need no nullspace, while each of
+    the cube's 6 squares needs one, and the rank one more over their rows."""
+    shapes = []
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, ncols=None: shapes.append((len(rows), len(rows[0])))
+                        or real(rows, ncols))
+    assert picard_rank(octahedron()) == 3 and shapes == []
+    assert picard_rank(cube()) == 1 and shapes == [(3, 4)] * 6 + [(6, 8)]
 
 
 def test_picard_rank_vertex_dependencies_match_all_pairs_oracle():
