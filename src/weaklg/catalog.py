@@ -61,11 +61,11 @@ def _self_check():
         raise RuntimeError("catalog corrupted: V16 operator solution prefix changed")
     if tuple(solve_series(v18.operator, 2)) != (1, 3, 27):
         raise RuntimeError("catalog corrupted: V18 operator solution prefix changed")
-    if v16.model.constant_term() != 4 or len(v16.model) != 20:
+    if v16.model.coefficient((0, 0, 0)) != 4 or len(v16.model) != 20:
         raise RuntimeError("catalog corrupted: V16 model terms changed")
-    if v18.model.constant_term() != 3 or len(v18.model) != 16:
+    if v18.model.coefficient((0, 0, 0)) != 3 or len(v18.model) != 16:
         raise RuntimeError("catalog corrupted: V18 model terms changed")
-    if v22.model.constant_term() != 4 or len(v22.model) != 14:
+    if v22.model.coefficient((0, 0, 0)) != 4 or len(v22.model) != 14:
         raise RuntimeError("catalog corrupted: V22 model terms changed")
     if solve_series(v22.operator, 1)[1] != Fraction(32, 5):
         raise RuntimeError("catalog corrupted: V22 stored operator no longer shows"
@@ -167,7 +167,7 @@ def _parse(text):
         parse_section("model", LaurentPoly.from_text) if "model" in sections else None
     )
     notes = section_text("notes").strip() if "notes" in sections else ""
-    record = FanoRecord(
+    return FanoRecord(
         name=meta["name"][1],
         genus=numbers["genus"],
         degree=numbers["degree"],
@@ -179,7 +179,6 @@ def _parse(text):
         known_discrepancy=meta["known-discrepancy"][1] if "known-discrepancy" in meta else None,
         notes=notes,
     )
-    return record
 
 
 def _warn_on_degree(record):

@@ -76,7 +76,8 @@ def _build_parser():
     p.add_argument("-m", type=int, required=True, help="operator order in D")
     p.add_argument("-r", type=int, required=True, help="operator degree in t")
     p.add_argument("-N", type=int, default=None,
-                   help="series order to constrain against (default: as deep as available)")
+                   help="series order to constrain against (default: the series order,"
+                        " or the unknown count (m+1)(r+1) plus 9 if that is less)")
 
     p = sub.add_parser("search", help="mod-p coefficient search over a support ansatz")
     p.add_argument("-a", "--ansatz", required=True, metavar="FILE")
@@ -132,6 +133,7 @@ def _cmd_verify(args):
     _require(args.poly or record, "verify needs -f or --catalog")
     _require(args.operator or record, "verify needs -L or --catalog")
     _require(not args.derived or record, "--derived only applies with --catalog")
+    _require(not (args.derived and args.operator), "pass only one of -L and --derived")
     f = LaurentPoly.from_text(_read(args.poly)) if args.poly else record.model
     if args.operator:
         op = DOperator.from_text(_read(args.operator))

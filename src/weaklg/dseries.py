@@ -17,7 +17,7 @@ from math import comb
 
 from . import linalg, polytope
 from .laurent import (
-    LaurentPoly,
+    MAX_SERIES_ORDER,
     ParseError,
     PowerSeries,
     clip,
@@ -76,24 +76,13 @@ class DOperator(namedtuple("DOperator", "table")):
         acc = 0
         for c in reversed(self.table[j]):
             acc = acc * k + c
-        return normalize_rational(acc if isinstance(acc, int) else Fraction(acc))
+        return normalize_rational(acc)
 
     def is_scalar_multiple(self, other):
-        """True when the two tables agree up to one nonzero rational factor."""
-        if self.order != other.order or self.t_degree != other.t_degree:
-            return False
-        ratio = None
-        for row_a, row_b in zip(self.table, other.table):
-            for a, b in zip(row_a, row_b):
-                if (a == 0) != (b == 0):
-                    return False
-                if a != 0:
-                    r = Fraction(a) / Fraction(b)
-                    if ratio is None:
-                        ratio = r
-                    elif r != ratio:
-                        return False
-        return ratio is not None
+        """True when the two tables agree up to one nonzero rational factor:
+        neither table is zero, so their flattened rows have rank 1."""
+        return ((self.order, self.t_degree) == (other.order, other.t_degree)
+                and linalg.rank([sum(self.table, ()), sum(other.table, ())]) == 1)
 
     def __repr__(self):
         return f"DOperator(order={self.order}, t_degree={self.t_degree})"
@@ -137,12 +126,14 @@ class DOperator(namedtuple("DOperator", "table")):
         return cls(rows)
 
 
-# The highest order solve_series takes: a bound on its time, checked before
-# the recurrence, whose coefficients grow in bits with the order.  In Python
-# 3.11, V22's stored operator takes 0.7 s at N=1000, 4.9 s at 2000, 21 s at
-# 3000 and 46 s at 4000, so a refused V22 solve would have run for about a
-# minute or more; V16's takes 0.08 s at 4000 and 4.7 s at 32000.
-MAX_SOLVE_ORDER = 4000
+def _recurrence_sum(op, s, k, start):
+    """sum P_j(k - j) s_{k-j} over j = start..min(k, r): order k of L s when start is 0."""
+    total = 0
+    for j in range(start, min(k, op.t_degree) + 1):
+        pj = op.p_value(j, k - j)
+        if pj:
+            total += pj * s[k - j]
+    return total
 
 
 def solve_series(op, N):
@@ -150,12 +141,12 @@ def solve_series(op, N):
 
     Requires P_0(0) = 0, since order 0 of L s is P_0(0) a_0, and
     P_0(k) != 0 for 1 <= k <= N; the first failing k is reported.  An
-    order over MAX_SOLVE_ORDER is refused with ValueError.
+    order over MAX_SERIES_ORDER is refused with ValueError.
     """
     if N < 0:
         raise ValueError("series order must be nonnegative")
-    if N > MAX_SOLVE_ORDER:
-        raise ValueError(f"series order {clip(N)} is over {MAX_SOLVE_ORDER}, the most a solve takes")
+    if N > MAX_SERIES_ORDER:
+        raise ValueError(f"series order {clip(N)} is over {MAX_SERIES_ORDER}, the most a solve takes")
     if op.table[0][0]:
         raise ValueError(f"P_0(0) = {format_rational(op.table[0][0])}, not 0: "
                          "no series with a_0 = 1 is annihilated")
@@ -164,15 +155,9 @@ def solve_series(op, N):
     for k in range(1, N + 1):
         if op.p_value(0, k) == 0:
             raise IndicialObstruction(k)
-    r = op.t_degree
     a = [1]
     for k in range(1, N + 1):
-        s = 0
-        for j in range(1, min(k, r) + 1):
-            pj = op.p_value(j, k - j)
-            if pj:
-                s += pj * a[k - j]
-        a.append(normalize_rational(-Fraction(s) / op.p_value(0, k)))
+        a.append(normalize_rational(-Fraction(_recurrence_sum(op, a, k, 1)) / op.p_value(0, k)))
     return PowerSeries(a)
 
 
@@ -186,15 +171,8 @@ def apply_operator(op, series):
         raise ValueError(
             f"series order {series.order} is below the operator t-degree {op.t_degree}"
         )
-    out = []
-    for k in range(series.order + 1):
-        total = 0
-        for j in range(min(k, op.t_degree) + 1):
-            pj = op.p_value(j, k - j)
-            if pj:
-                total += pj * series[k - j]
-        out.append(total)
-    return PowerSeries(out)
+    s = series.coefficients()
+    return PowerSeries(_recurrence_sum(op, s, k, 0) for k in range(series.order + 1))
 
 
 def fit_operator(series, m, r, N=None):
@@ -225,7 +203,7 @@ def fit_operator(series, m, r, N=None):
         [s[k - j] * (k - j) ** l if k >= j else 0 for j in range(r + 1) for l in range(m + 1)]
         for k in range(N + 1)
     ]
-    basis = linalg.nullspace(rows, ncols=unknowns)
+    basis = linalg.nullspace(rows)
     ops = []
     for vec in basis:
         table = [vec[j * (m + 1) : (j + 1) * (m + 1)] for j in range(r + 1)]
@@ -256,15 +234,9 @@ def shift_constant(series, c):
     phi_{f+c}(k) = sum_i C(k, i) c^(k-i) phi_f(i); the inverse shift is by -c.
     """
     cc = Fraction(normalize_rational(c))
-    coeffs = series.coefficients()
-    out = []
-    for k in range(series.order + 1):
-        total = 0
-        for i in range(k + 1):
-            if coeffs[i]:
-                total += comb(k, i) * cc ** (k - i) * coeffs[i]
-        out.append(normalize_rational(Fraction(total)))
-    return PowerSeries(out)
+    s = series.coefficients()
+    return PowerSeries(sum(comb(k, i) * cc ** (k - i) * s[i] for i in range(k + 1) if s[i])
+                       for k in range(series.order + 1))
 
 
 class VerificationReport(namedtuple(

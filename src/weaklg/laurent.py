@@ -312,13 +312,10 @@ class LaurentPoly:
         return tuple(sorted(self._terms))
 
     def coefficient(self, exps):
-        return self._terms.get(tuple(exps), 0)
-
-    def constant_term(self):
-        return self._terms.get((0,) * self._n, 0)
-
-    def is_zero(self):
-        return not self._terms
+        e = tuple(exps)
+        if len(e) != self._n:
+            raise DimensionMismatch(f"exponent vector {e} has length {len(e)}, expected {self._n}")
+        return self._terms.get(e, 0)
 
     def __len__(self):
         return len(self._terms)
@@ -481,6 +478,13 @@ class PowerSeries:
 # 182 MiB, so a refused series would have run for about a minute or more.
 MAX_SERIES_TERMS = 1_000_000
 
+# The highest order constant_term_series and dseries.solve_series take: a
+# bound on time where the size of f^K gives none (a one-term or
+# one-dimensional f) and the solve's coefficients grow in bits with the
+# order.  In Python 3.11, x + 1/x takes 2.45 s at N=4000 and V22's stored
+# operator 46 s, so a refused run would have taken a minute or more.
+MAX_SERIES_ORDER = 4000
+
 
 def constant_term_series(f, N):
     """phi(i) for i = 0..N, expanding f only up to ceil(N/2); see constant_term_levels.
@@ -489,7 +493,8 @@ def constant_term_series(f, N):
     D^i phi(i).  Every slot below it lies in (-2^(W-1), 2^(W-1)), so adding
     half of 2^(W i h) before the shift takes their borrow back; one-slot
     rows (W = h = 0) hold D^i phi(i) whole.  A depth whose f^ceil(N/2) may
-    have more than MAX_SERIES_TERMS terms is refused with ValueError.
+    have more than MAX_SERIES_TERMS terms is refused with ValueError, and
+    then an order over MAX_SERIES_ORDER.
     """
     if not isinstance(f, LaurentPoly):
         raise TypeError("constant_term_series expects a LaurentPoly")
@@ -501,6 +506,8 @@ def constant_term_series(f, N):
     if estimate > MAX_SERIES_TERMS:
         raise ValueError(f"series order {clip(N)}: f^{clip(K)} may have up to {clip(estimate)}"
                          f" terms, over {MAX_SERIES_TERMS}")
+    if N > MAX_SERIES_ORDER:
+        raise ValueError(f"series order {clip(N)} is over {MAX_SERIES_ORDER}, the most a series takes")
     rows, width, h, scale = _rows(f._terms, N, cols)
     out = []
     for i, level in enumerate(constant_term_levels(rows, N)):
@@ -544,18 +551,20 @@ def _narrowed(points):
 _ROW_BITS = 1 << 14
 
 
-def _rows(terms, N, cols=None):
+def _rows(terms, N, cols):
     """f as rows of integers for phi(0..N): (rows, W, h, D), with g = D f integral.
 
-    D is the lcm of the denominators of f.  Where packing pays, the axis of
-    the narrowed basis whose rows of supp(f f) are fullest is packed: the
-    row of g at the other exponents m is the integer sum c 2^(W (e - min e))
-    over its terms c x^(m, e), so one int product multiplies two rows
-    (Kronecker substitution), and h = -min e.  W = bits(S^N) + 1 for
-    S = sum |c|: every coefficient of g^i, i <= N, fits in W signed bits, so
-    the sum over m of [g^a]_m [g^b]_-m holds D^i phi(i) whole in slot i h.
-    Otherwise each term c x^e of g is a row of one slot keyed by the
-    balanced packing of e, and W = h = 0.
+    `cols` are the narrowed rows of `terms` (see _narrowed), and both layouts
+    key the terms by the balanced packing of their exponents in that basis,
+    which leaves phi unchanged.  D is the lcm of the denominators of f.
+    Where packing pays, the axis whose rows of supp(f f) are fullest is
+    packed: the row of g at the other exponents m is the integer sum
+    c 2^(W (e - min e)) over its terms c x^(m, e), so one int product
+    multiplies two rows (Kronecker substitution), and h = -min e.
+    W = bits(S^N) + 1 for S = sum |c|: every coefficient of g^i, i <= N,
+    fits in W signed bits, so the sum over m of [g^a]_m [g^b]_-m holds
+    D^i phi(i) whole in slot i h.  Otherwise each term c x^e of g is a row
+    of one slot keyed by e, and W = h = 0.
 
     Packing pays where supp(f f) fills at least half of its rows times its
     span, f has more than one row, and the rows of f^ceil(N/2) stay within
@@ -563,16 +572,14 @@ def _rows(terms, N, cols=None):
     and (1 + x + y)(1 + 1/x + 1/y) 2.2 times at N=80 (20655-bit rows), where
     each level's whole-row products cost more than the power steps save.
     Since bits(S^N) > N (bits(S) - 1), a depth past that bound is refused
-    at once, and S^N is never built there.  `cols` are the
-    narrowed rows of `terms` when the caller has them.
+    at once, and S^N is never built there.
     """
     scale = math.lcm(*(c.denominator for c in terms.values()))
     coeffs = [int(c * scale) for c in terms.values()]
     S, K = sum(map(abs, coeffs)), (N + 1) // 2
+    base = 2 * max((max(map(abs, col)) for col in cols), default=0) * max(K, 2) + 1
+    keys = [pack_exponents(p, base) for p in zip(*cols)]
     if len(terms) > 1 and N * (S.bit_length() - 1) < _ROW_BITS:
-        cols = _narrowed(terms) if cols is None else cols
-        base = 2 * max(max(map(abs, col)) for col in cols) * max(K, 2) + 1
-        keys = [pack_exponents(p, base) for p in zip(*cols)]
         rests = [{k - e * base**axis for k, e in zip(keys, col)} for axis, col in enumerate(cols)]
         # per axis: rows of supp(f f) times its span
         sizes = [len({a + b for a in rest for b in rest}) * (2 * _width(col) + 1)
@@ -586,8 +593,7 @@ def _rows(terms, N, cols=None):
                 for k, e, c in zip(keys, col, coeffs):
                     rows[k - e * unit] = rows.get(k - e * unit, 0) + (c << width * (e - low))
                 return rows, width, -low, scale
-    base = 2 * max((abs(x) for exps in terms for x in exps), default=0) * K + 1
-    return {pack_exponents(exps, base): c for exps, c in zip(terms, coeffs)}, 0, 0, scale
+    return dict(zip(keys, coeffs)), 0, 0, scale
 
 
 def constant_term_series_mitm(f, N):
@@ -636,7 +642,7 @@ def quartic_compactification_check(f):
     shifted total degree over the support.  Passing means the pencil closes
     up in projective space in degree n + 1.
     """
-    if f.is_zero():
+    if not f:
         raise ValueError("the zero polynomial has no clearing degree")
     n = f.dimension
     support = f.support()

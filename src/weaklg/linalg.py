@@ -129,12 +129,12 @@ def _reconstruct(xs, m):
     return w
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows):
     """Basis of the right nullspace as tuples of Fractions.
 
     One vector per free column, in free-column order, each scaled so that its
-    first nonzero entry equals 1.  With no rows at all the result is the
-    standard basis, so callers must pass ncols when rows may be empty.
+    first nonzero entry equals 1.  The width is read off the rows, so at
+    least one row is required.
 
     Multi-modular, with Wang's (1981) rational reconstruction; cf. Dixon
     (1982).  A better pivot list mod p (larger rank, then smaller) restarts
@@ -146,10 +146,9 @@ def nullspace(rows, ncols=None):
     works once the modulus exceeds 2 H^2 (Hadamard bound H): the loop has no cap.
     """
     rows = [list(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required when no rows are given")
-        ncols = len(rows[0])
+    if not rows:
+        raise ValueError("nullspace needs at least one row")
+    ncols = len(rows[0])
     mat = [r for r in _scaled_integer_rows(rows) if any(r)]
     best = chosen = None
     for p in _primes():

@@ -186,7 +186,7 @@ def polytope_from_text(text):
 
 def newton_polytope(f):
     """Hull of the support of f; the support must span all of R^n."""
-    if f.is_zero():
+    if not f:
         raise ValueError("the zero polynomial has no Newton polytope")
     return convex_hull(f.support())
 
@@ -228,19 +228,14 @@ def dual(P):
     returns the original vertex set exactly.
     """
     _require_origin_interior(P)
-    n = P.dimension
-    verts = []
-    for a, c in P.facets:
-        verts.append(tuple(normalize_rational(Fraction(-ai) / c) for ai in a))
+    verts = [tuple(Fraction(-x, c) for x in a) for a, c in P.facets]
     facets = []
     for v in P.vertices:
-        den = math.lcm(*(Fraction(x).denominator for x in v))
+        den = math.lcm(*(x.denominator for x in v))
         scaled = [int(-x * den) for x in v]
-        g = math.gcd(*(abs(x) for x in scaled))
-        facets.append(
-            (tuple(x // g for x in scaled), normalize_rational(Fraction(den, g)))
-        )
-    return RationalPolytope(n, verts, facets)
+        g = math.gcd(*scaled)
+        facets.append((tuple(x // g for x in scaled), Fraction(den, g)))
+    return RationalPolytope(P.dimension, verts, facets)
 
 
 def is_reflexive(P):
@@ -277,7 +272,6 @@ def anticanonical_degree(P):
 
 def anticanonical_sections(P):
     """Number of lattice points of the polar dual (boundary included)."""
-    _require_origin_interior(P)
     return len(lattice_points(dual(P)))
 
 

@@ -34,7 +34,6 @@ from .laurent import (
     LaurentPoly,
     ParseError,
     PointDims,
-    PowerSeries,
     clip,
     constant_term_levels,
     constant_term_series,
@@ -123,10 +122,6 @@ class OrbitSpec(namedtuple("OrbitSpec", "label points domain")):
             raise ValueError(f"orbit {label!r} has no points")
         return super().__new__(cls, label, points, domain)
 
-    @property
-    def representative(self):
-        return self.points[0]
-
 
 class SupportAnsatz(namedtuple("SupportAnsatz", "dimension orbits")):
     """A support set partitioned into orbits, each with a coefficient domain."""
@@ -136,7 +131,7 @@ class SupportAnsatz(namedtuple("SupportAnsatz", "dimension orbits")):
     def __new__(cls, dimension, orbits):
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        specs = tuple(sorted(orbits, key=lambda s: s.representative))
+        specs = tuple(sorted(orbits, key=lambda s: s.points[0]))
         if not specs:
             raise ValueError("an ansatz needs at least one orbit")
         seen_points = set()
@@ -339,8 +334,6 @@ def _modular_residue(value, p, context):
     frac = Fraction(value)
     if frac.denominator % p == 0:
         raise ValueError(f"{context} {value} is not defined modulo {p}")
-    if frac.denominator == 1:
-        return frac.numerator % p
     return frac.numerator * pow(frac.denominator, -1, p) % p
 
 
@@ -457,11 +450,10 @@ def search_mod_p(ansatz, config):
     }
     levels, first = _level_polynomials(ansatz, depth)
     undetermined = _undetermined(ansatz)
-    # orbits are assigned at the level where they first matter
+    # orbits are assigned at the level where they first matter; a stable sort
+    # keeps the ansatz's representative order within a level
     entry = [first.get(idx, depth + 1) for idx, _ in undetermined]
-    order = sorted(
-        range(len(undetermined)), key=lambda k: (entry[k], undetermined[k][1].representative)
-    )
+    order = sorted(range(len(undetermined)), key=entry.__getitem__)
     position = {k: pos for pos, k in enumerate(order)}
     entering = [[undetermined[k][1] for k in order if entry[k] == r] for r in range(1, depth + 2)]
     level_terms = [_sparse_terms(poly, position) for poly in levels]

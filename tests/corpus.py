@@ -204,17 +204,16 @@ def is_prime_trial(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def nullspace_bareiss(rows, ncols=None):
+def nullspace_bareiss(rows):
     """Nullspace by Bareiss elimination and Fraction back-substitution.
 
     The oracle for the multi-modular `linalg.nullspace`: the same basis, the
     same scaling and the same errors, reached without any modular arithmetic.
     """
     rows = [list(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required when no rows are given")
-        ncols = len(rows[0])
+    if not rows:
+        raise ValueError("nullspace needs at least one row")
+    ncols = len(rows[0])
     ech, pivots = _echelon(_integer_rows(rows))
     pivot_set = set(pivots)
     basis = []
@@ -262,7 +261,7 @@ def _hyperplane_normal(points):
     base = points[0]
     n = len(base)
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    kernel = nullspace_bareiss(rows, ncols=n)
+    kernel = nullspace_bareiss(rows or [[0] * n])  # n = 1: a zero row constrains nothing
     if len(kernel) != 1:
         return None
     vec = kernel[0]

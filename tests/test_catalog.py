@@ -63,19 +63,19 @@ def test_rank_one_operator_tables_are_pinned():
 def test_model_term_counts_and_spot_coefficients():
     f16 = catalog.builtin("V16").model
     assert len(f16) == 20
-    assert f16.constant_term() == 4
+    assert f16.coefficient((0, 0, 0)) == 4
     assert f16.coefficient((-1, -1, 0)) == 2
     assert f16.coefficient((-1, 0, 0)) == 3
     assert f16.coefficient((1, -1, 0)) == 1
     assert f16.coefficient((-1, -1, -1)) == 1
     f18 = catalog.builtin("V18").model
     assert len(f18) == 16
-    assert f18.constant_term() == 3
+    assert f18.coefficient((0, 0, 0)) == 3
     assert f18.coefficient((-1, 0, 0)) == 2
     assert f18.coefficient((1, -1, -1)) == 1
     f22 = catalog.builtin("V22").model
     assert len(f22) == 14
-    assert f22.constant_term() == 4
+    assert f22.coefficient((0, 0, 0)) == 4
     assert all(f22.coefficient(p) == 1 for p in f22.support() if any(p))
 
 

@@ -96,6 +96,12 @@ def test_verify_derived_without_catalog_is_usage_error(v16_files, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_verify_derived_with_an_operator_file_is_usage_error(v16_files, capsys):
+    _, op = v16_files
+    assert main(["verify", "--catalog", "V22", "--derived", "-L", str(op), "-N", "5"]) == 1
+    assert capsys.readouterr() == ("", "usage error: pass only one of -L and --derived\n")
+
+
 def test_verify_derived_needs_a_derived_operator(capsys):
     assert main(["verify", "--catalog", "V16", "--derived"]) == 2
     assert capsys.readouterr().err == "error: record 'V16' has no derived operator\n"
@@ -316,6 +322,22 @@ def test_deep_series_exit_2_before_the_first_power(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"error: series order {N}: ") and err.count("\n") == 1
+
+
+def test_series_past_the_order_bound_exit_2_at_once(tmp_path, capsys):
+    """f^K of these stays within MAX_SERIES_TERMS, so only the order bound stops them."""
+    for name, text, N in (
+        ("zero", "# dim 3\n", "1000000000000"),
+        ("constant", "2 : 0 0 0\n", "1000000000000"),
+        ("monomial", "1 : 1 0 0\n", "1000000000000"),
+        ("line", "1 : 1\n1 : -1\n", "200000"),
+    ):
+        poly = tmp_path / f"{name}.poly"
+        poly.write_text(text)
+        start = time.perf_counter()
+        assert main(["series", "-f", str(poly), "-N", N]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: series order {N} is over 4000, the most a series takes\n")
 
 
 def test_deep_search_exits_2_before_the_level_expansion(tmp_path, capsys):

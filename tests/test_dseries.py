@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from weaklg.dseries import (
-    MAX_SOLVE_ORDER,
     DOperator,
     IndicialObstruction,
     apply_operator,
@@ -14,7 +13,13 @@ from weaklg.dseries import (
     solve_series,
     verify_weak_lg,
 )
-from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
+from weaklg.laurent import (
+    MAX_SERIES_ORDER,
+    LaurentPoly,
+    ParseError,
+    PowerSeries,
+    constant_term_series,
+)
 
 from corpus import random_laurent
 
@@ -108,10 +113,10 @@ def test_solve_series_reports_indicial_obstruction():
 
 
 def test_solve_series_takes_orders_up_to_the_bound():
-    assert solve_series(L16, MAX_SOLVE_ORDER).order == MAX_SOLVE_ORDER
-    with pytest.raises(ValueError, match=f"^series order {MAX_SOLVE_ORDER + 1} is over"
-                                         f" {MAX_SOLVE_ORDER}, the most a solve takes$"):
-        solve_series(L16, MAX_SOLVE_ORDER + 1)
+    assert solve_series(L16, MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    with pytest.raises(ValueError, match=f"^series order {MAX_SERIES_ORDER + 1} is over"
+                                         f" {MAX_SERIES_ORDER}, the most a solve takes$"):
+        solve_series(L16, MAX_SERIES_ORDER + 1)
 
 
 def test_solve_series_refuses_a_nonzero_p0_at_zero():

@@ -92,6 +92,24 @@ def test_constructor_checks_exponent_length():
         LaurentPoly(3, {(1, 0): 1})
 
 
+def test_coefficient_checks_exponent_length():
+    f = LaurentPoly(2, {(0, 0): 5})
+    assert f.coefficient((0, 0)) == 5
+    with pytest.raises(DimensionMismatch, match=r"^exponent vector \(0, 0, 0\) has length 3, expected 2$"):
+        f.coefficient((0, 0, 0))
+
+
+def test_series_order_bound_holds_where_f_to_the_k_stays_small():
+    """A constant, whose f^K has one term, runs at the bound and is refused one step past it."""
+    two = LaurentPoly(3, {(0, 0, 0): 2})
+    assert list(constant_term_series(two, laurent.MAX_SERIES_ORDER)) == [
+        2**i for i in range(laurent.MAX_SERIES_ORDER + 1)]
+    for f in (two, LaurentPoly(1, {(1,): 1, (-1,): 1})):
+        with pytest.raises(ValueError, match=f"^series order {laurent.MAX_SERIES_ORDER + 1} is over"
+                                             f" {laurent.MAX_SERIES_ORDER}, the most a series takes$"):
+            constant_term_series(f, laurent.MAX_SERIES_ORDER + 1)
+
+
 def test_constructor_checks_dimension_and_exponent_types():
     with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
         LaurentPoly(0, {})
@@ -101,10 +119,10 @@ def test_constructor_checks_dimension_and_exponent_types():
 
 def test_zero_and_constant_polynomials():
     z = LaurentPoly(3)
-    assert z.is_zero() and z.dimension == 3
+    assert not z and z.dimension == 3
     c = LaurentPoly(2, {(0, 0): Fraction(5, 3)})
-    assert c.constant_term() == Fraction(5, 3)
-    assert LaurentPoly(2, {(0, 0): 0}).is_zero()
+    assert c.coefficient((0, 0)) == Fraction(5, 3)
+    assert not LaurentPoly(2, {(0, 0): 0})
 
 
 def test_arithmetic_basics():
@@ -112,10 +130,10 @@ def test_arithmetic_basics():
     xinv = LaurentPoly(1, {(-1,): 1})
     f = x + xinv
     assert (f * f).coefficient((0,)) == 2
-    assert (f - f).is_zero()
+    assert not f - f
     assert (-f) + f == LaurentPoly(1)
     assert 3 * f == f * 3
-    assert (f * 0).is_zero()
+    assert not f * 0
 
 
 def test_mixed_dimension_arithmetic_raises():
@@ -363,6 +381,11 @@ def test_series_edge_cases_against_bruteforce():
             _assert_both_entry_points_match_bruteforce(f, N)
 
 
+def _rows(f, N):
+    """laurent._rows on the narrowed rows of f, as constant_term_series calls it."""
+    return laurent._rows(f._terms, N, laurent._narrowed(f._terms))
+
+
 def _one_slot_rows(monkeypatch):
     """Hold _rows to one-slot rows: no Kronecker row fits in 0 bits."""
     monkeypatch.setattr(laurent, "_ROW_BITS", 0)
@@ -393,22 +416,22 @@ def test_both_packings_against_bruteforce(monkeypatch):
                     if one_slot:
                         _one_slot_rows(m)
                     assert list(constant_term_series(f, N)) == want, (f.terms(), N, one_slot)
-                    width = laurent._rows(f._terms, N)[1]
+                    width = _rows(f, N)[1]
                     assert not (one_slot and width)
                     if width:
                         kronecker.add(k)
     # one row, one term, the zero polynomial and a sparse square (supp(f f)
     # fills 9 of 25 cells) stay on one-slot rows
     assert kronecker == {0, 1, 2, 6}
-    assert laurent._rows(cases[6]._terms, 6)[2] < 0
-    assert laurent._rows(LaurentPoly(2)._terms, 4) == ({}, 0, 0, 1)
+    assert _rows(cases[6], 6)[2] < 0
+    assert _rows(LaurentPoly(2), 4) == ({}, 0, 0, 1)
 
 
 def test_kronecker_rows_pack_full_supports_only():
     for name in ("V16", "V18", "V22"):
         f = catalog.builtin(name).model
         for N in (8, 13, 24):
-            assert laurent._rows(f._terms, N)[1], (name, N)
+            assert _rows(f, N)[1], (name, N)
     sparse = [
         (LaurentPoly(2, {(200, 0): 1, (-200, 0): 1, (0, 1): 1, (0, -1): 1}), 20),
         (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1}), 40),
@@ -416,7 +439,7 @@ def test_kronecker_rows_pack_full_supports_only():
         (catalog.builtin("V16").model, 80),
     ]
     for f, N in sparse:
-        assert laurent._rows(f._terms, N)[1] == 0, (f.terms(), N)
+        assert _rows(f, N)[1] == 0, (f.terms(), N)
 
 
 def test_huge_depths_take_one_slot_rows_without_building_s_to_the_n():
@@ -424,7 +447,7 @@ def test_huge_depths_take_one_slot_rows_without_building_s_to_the_n():
     sparse = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
     for f in (sparse, catalog.builtin("V16").model):
         start = time.perf_counter()
-        rows, width, h, scale = laurent._rows(f._terms, 10**12)
+        rows, width, h, scale = _rows(f, 10**12)
         assert time.perf_counter() - start < 1.0
         assert (len(rows), width, h, scale) == (len(f), 0, 0, 1)
 
@@ -468,7 +491,7 @@ def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
     rng = random.Random(24)
     for _ in range(3):
         g = substitute_monomial(f, random_unimodular(rng))
-        assert laurent._rows(g._terms, 24)[1]
+        assert _rows(g, 24)[1]
         assert constant_term_series(g, 24) == want
 
 

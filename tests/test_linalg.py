@@ -84,13 +84,11 @@ def test_nullspace_vectors_annihilate_and_match_sympy_dimension():
             assert lead == 1
 
 
-def test_nullspace_without_rows_needs_ncols():
-    assert linalg.nullspace([], ncols=2) == [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    ]
-    with pytest.raises(ValueError):
+def test_nullspace_without_rows_raises():
+    with pytest.raises(ValueError, match="^nullspace needs at least one row$"):
         linalg.nullspace([])
+    with pytest.raises(ValueError, match="^nullspace needs at least one row$"):
+        nullspace_bareiss([])
 
 
 def test_det_agrees_with_sympy():
@@ -171,14 +169,14 @@ def test_nullspace_equals_bareiss_oracle_on_random_shapes(den_bound):
 
 
 def _fit_systems(monkeypatch):
-    """The (rows, ncols) that `fit_operator` solves for the benchmark's fits."""
+    """The rows that `fit_operator` solves for the benchmark's fits."""
     rec = catalog.builtin("V22")
     v22 = constant_term_series(rec.model, 35)
     derived = dseries.solve_series(rec.derived_operator, 89)
     captured = []
 
-    def capture(rows, ncols=None):
-        captured.append((rows, ncols))
+    def capture(rows):
+        captured.append(rows)
         return []
 
     monkeypatch.setattr(dseries.linalg, "nullspace", capture)
@@ -206,9 +204,9 @@ def test_nullspace_equals_bareiss_oracle_on_benchmark_fit_systems(monkeypatch):
     systems = _fit_systems(monkeypatch)
     calls = _spy_rref(monkeypatch)
     sizes = []
-    for rows, ncols in systems:
-        basis = linalg.nullspace(rows, ncols)
-        assert basis == nullspace_bareiss(rows, ncols)
+    for rows in systems:
+        basis = linalg.nullspace(rows)
+        assert basis == nullspace_bareiss(rows)
         sizes.append(len(basis))
     assert sizes == [2, 24, 35]
     # The 90 x 80 system of rank 45 is reduced in full once, then only on the
@@ -318,6 +316,17 @@ def test_wrong_pivot_list_mod_the_first_prime_is_replaced(monkeypatch):
     # Mod 2^61 - 1 the pivot is column 1; the certificate rejects that basis,
     # column 0 wins at the next prime, and -P61 needs a modulus over 2 P61^2.
     assert [pivots for _, pivots in calls] == [[1], [0], [0], [0]]
+
+
+def test_worse_pivot_list_mod_a_later_prime_is_dropped(monkeypatch):
+    p2 = list(itertools.islice(linalg._primes(), 2))[1]
+    calls = _spy_rref(monkeypatch)
+    rows = [[p2, 1]]
+    assert linalg.nullspace(rows) == nullspace_bareiss(rows) == [(1, -p2)]
+    # Column 0 is the pivot mod the first prime; mod p2 it is column 1, a
+    # worse pivot list, so p2 adds nothing to the Chinese remaindering.
+    pivots = [pivots for _, pivots in calls]
+    assert pivots[:3] == [[0], [1], [0]] and pivots[3:] == [[0]] * (len(pivots) - 3)
 
 
 def test_entry_vanishing_mod_the_first_two_primes(monkeypatch):

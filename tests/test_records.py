@@ -182,7 +182,6 @@ def test_records_normalise_their_fields():
     assert CoefficientDomain.choice(5, -1, 5, 2).values == (-1, 2, 5)
     spec = OrbitSpec("s", [[1, 0], (0, 1), (1, 0)], CoefficientDomain.free())
     assert spec.points == ((0, 1), (1, 0))
-    assert spec.representative == (0, 1)
     assert SearchConfig(TARGET, primes=[11, 7]).primes == (11, 7)
 
 
