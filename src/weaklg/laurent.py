@@ -48,8 +48,8 @@ def clip(field):
     of it, followed by '... (n characters)' when it is longer."""
     try:
         text = str(field)
-    except ValueError:  # an int past sys.get_int_max_str_digits(); Decimal(int) has no limit
-        text = str(Decimal(field))
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        text = format_rational(field)
     if len(text) <= QUOTE_LIMIT:
         return text
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
@@ -67,11 +67,14 @@ def normalize_rational(value):
 
 
 def format_rational(value) -> str:
-    """Render as `p` or `p/q` in lowest terms."""
+    """Render as `p` or `p/q` in lowest terms, in full however many digits."""
     value = normalize_rational(value)
-    if isinstance(value, int):
+    if isinstance(value, Fraction):
+        return f"{format_rational(value.numerator)}/{format_rational(value.denominator)}"
+    try:
         return str(value)
-    return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal(int) has no limit
+        return str(Decimal(value))
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -396,54 +399,34 @@ class LaurentPoly:
         return cls(dims.n, entries)
 
 
-class PowerSeries:
-    """Exact truncated power series c_0 + c_1 t + ... + c_N t^N."""
+class PowerSeries(tuple):
+    """Exact truncated power series c_0 + c_1 t + ... + c_N t^N, as the
+    tuple of its coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         vals = tuple(normalize_rational(c) for c in coeffs)
         if not vals:
             raise ValueError("a power series needs at least the order-0 coefficient")
-        self._coeffs = vals
+        return super().__new__(cls, vals)
 
     @property
     def order(self):
-        return len(self._coeffs) - 1
-
-    def coefficients(self):
-        return self._coeffs
-
-    def __getitem__(self, i):
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise TypeError("series index must be an integer")
-        if i < 0 or i > self.order:
-            raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return self._coeffs[i]
-
-    def __iter__(self):
-        return iter(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
+        return len(self) - 1
 
     def truncate(self, N):
         if N < 0 or N > self.order:
             raise ValueError(f"cannot truncate order-{self.order} series at {N}")
-        return PowerSeries(self._coeffs[: N + 1])
+        return PowerSeries(self[: N + 1])
 
     def __repr__(self):
-        head = ", ".join(format_rational(c) for c in self._coeffs[:4])
+        head = ", ".join(format_rational(c) for c in self[:4])
         tail = ", ..." if self.order >= 4 else ""
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
     def to_text(self):
-        return "\n".join(f"{i} {format_rational(c)}" for i, c in enumerate(self._coeffs)) + "\n"
+        return "\n".join(f"{i} {format_rational(c)}" for i, c in enumerate(self)) + "\n"
 
     @classmethod
     def from_text(cls, text):

@@ -1,11 +1,12 @@
 """Small exact linear algebra helpers over the rationals.
 
 Matrices are plain sequences of rows, scaled to integers.  There are two
-eliminations.  Large rational systems go through `nullspace`, modulo primes on
-rows packed one int each, and certified by checking every basis vector against
-every row in exact integers; `rank` is read off it.  Small integer matrices,
-such as the hull's edge vectors and facet normals, go through the
-fraction-free `echelon`, and `det` is its square case.
+eliminations.  The fit's large rational systems go through `nullspace`, modulo
+primes on rows packed one int each, and certified by checking every basis
+vector against every row in exact integers; `rank` is read off it.  Small
+integer matrices, such as the hull's edge vectors and facet normals and the
+vertices of a facet, go through the fraction-free `echelon`: `kernel` and
+`det` are read off it.
 """
 
 from __future__ import annotations
@@ -200,6 +201,26 @@ def echelon(rows):
         prev = pivot
         pivots.append(c)
     return a, pivots, sign
+
+
+def kernel(rows, width):
+    """Integer basis of the right kernel of an integer matrix with `width`
+    columns: one primitive vector per column with no pivot in `echelon`.
+    That column is set to the last pivot, the minor on the pivot columns, and
+    the other free columns to 0; by Cramer's rule the exact back-substitution
+    then gives integers, so every division is exact.
+    """
+    a, pivots, _ = echelon(rows)
+    top = a[: len(pivots)]
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        x = [0] * width
+        x[free] = top[-1][pivots[-1]] if pivots else 1
+        # Each echelon row is zero left of its pivot, where x is still zero.
+        for row, c in zip(reversed(top), reversed(pivots)):
+            x[c] = -sum(map(operator.mul, row, x)) // row[c]
+        basis.append(primitive(x))
+    return basis
 
 
 def det(matrix):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .laurent import (
-    ParseError, PointDims, data_lines, format_rational, integer_point, normalize_rational,
+    ParseError, PointDims, clip, data_lines, format_rational, integer_point, normalize_rational,
 )
 
 
@@ -78,37 +78,19 @@ class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension ver
         return "\n".join(" ".join(str(x) for x in v) for v in self.vertices) + "\n"
 
 
-def _hyperplane_normal(points):
-    """Primitive integer normal of the hyperplane through n affinely
-    independent points.  One `linalg.echelon` of their difference vectors
-    leaves one free coordinate.  Set to the last pivot, it makes the exact
-    back-substitution give the signed (n-1)-minors up to sign, so every
-    division is exact; the caller orients the result.
-    """
-    base = points[0]
-    rows, pivots, _ = linalg.echelon([[x - b for x, b in zip(p, base)] for p in points[1:]])
-    x = [0] * len(base)
-    free = next(c for c in range(len(base)) if c not in pivots)
-    x[free] = rows[-1][pivots[-1]] if pivots else 1
-    # Each echelon row is zero left of its pivot, where x is still zero.
-    for row, c in zip(reversed(rows), reversed(pivots)):
-        x[c] = -_dot(row, x) // row[c]
-    return linalg.primitive(x)
-
-
 def _boundary(pts):
     """Beneath-beyond over distinct integer points: (boundary, inside).
 
     The boundary is a list of (normal, offset, simplex) triples, the simplices
-    triangulating the hull's boundary, each with its supporting hyperplane
-    oriented away from `inside`, n + 1 times the centroid of the starting
-    full-dimensional simplex.  A point strictly beyond some of them replaces
-    those by the cones from the point over their horizon ridges, the ridges
-    that only one of the replaced simplices has.  The points go in farthest
-    first, by decreasing L1 distance from their centroid with ties in sorted
-    order, so that fewer cones are built only to be replaced.  The starting
-    simplex's edges are tested for independence by the pivot count of
-    `linalg.echelon`.
+    triangulating the hull's boundary, each with its supporting hyperplane,
+    the `linalg.kernel` of its edge vectors, oriented away from `inside`,
+    n + 1 times the centroid of the starting full-dimensional simplex.  A
+    point strictly beyond some of them replaces those by the cones from the
+    point over their horizon ridges, the ridges that only one of the replaced
+    simplices has.  The points go in farthest first, by decreasing L1
+    distance from their centroid with ties in sorted order, so that fewer
+    cones are built only to be replaced.  The starting simplex's edges are
+    tested for independence by the pivot count of `linalg.echelon`.
     """
     n, m = len(pts[0]), len(pts)
     centre = [sum(col) for col in zip(*pts)]
@@ -130,7 +112,7 @@ def _boundary(pts):
     inside = [sum(col) for col in zip(*simplex)]
 
     def cone(verts):
-        a = _hyperplane_normal(verts)
+        a = linalg.kernel([[x - b for x, b in zip(p, verts[0])] for p in verts[1:]], n)[0]
         c = _dot(a, verts[0])
         if _dot(a, inside) > (n + 1) * c:
             a, c = tuple(-x for x in a), -c
@@ -206,7 +188,7 @@ def lattice_points(P, strict=False):
         ranges.append(range(math.floor(min(coords)), math.ceil(max(coords)) + 1))
     box = math.prod(r.stop - r.start for r in ranges)
     if box > _BOX_POINTS:
-        raise ValueError(f"the bounding box holds {box} lattice points, over {_BOX_POINTS}")
+        raise ValueError(f"the bounding box holds {clip(box)} lattice points, over {_BOX_POINTS}")
     return tuple(p for p in itertools.product(*ranges) if P.contains(p, strict=strict))
 
 
@@ -299,7 +281,7 @@ def picard_rank(P):
         # n vertices on a hyperplane that misses the origin are independent.
         if len(verts) == n:
             continue
-        for dependency in linalg.nullspace(list(zip(*verts))):
+        for dependency in linalg.kernel(list(zip(*verts)), len(verts)):
             row = [0] * len(column)
             for v, x in zip(verts, dependency):
                 row[column[v]] = x

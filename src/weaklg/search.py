@@ -560,7 +560,7 @@ def lift_and_verify(stage):
     if most > MAX_LIFTS:
         raise ValueError(
             f"{surviving} residue combinations modulo {'x'.join(str(p) for p in primes)}"
-            f" could need {most} lifts into [-{config.height}, {config.height}],"
+            f" could need {clip(most)} lifts into [-{clip(config.height)}, {clip(config.height)}],"
             f" more than the {MAX_LIFTS} a search may try"
         )
     target = config.target

@@ -9,7 +9,7 @@ import pytest
 from weaklg import catalog
 from weaklg.cli import main
 from weaklg.dseries import DOperator, solve_series
-from weaklg.laurent import LaurentPoly, constant_term_series
+from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -369,6 +369,59 @@ def test_operator_header_counts_past_the_int_to_str_limit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == message
         assert len(err) <= 120
+
+
+def test_deep_solve_prints_coefficients_past_the_int_to_str_limit(v16_files, capsys):
+    """V16's a_4000 has over 4300 digits: it prints in full, and the printed
+    file is refused with a line when read back."""
+    assert main(["solve", "-L", str(v16_files[1]), "-N", "4000"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 4001
+    assert lines[-1].startswith("4000 ") and len(lines[-1]) > 4305
+    quoted = r"'\d{40}\.\.\. \(\d+ characters\)'"
+    with pytest.raises(ParseError, match=rf"^line \d+: bad rational {quoted}$"):
+        PowerSeries.from_text(captured.out)
+
+
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("name, text, args, message", [
+    ("huge.vertices", "".join(f"{s}1{'0' * 1600}\n" for s in "+-"), ["polytope", "-p"],
+     "error: the bounding box holds 2000000000000000000000000000000000000000... (1601 characters)"
+     " lattice points, over 1000000\n"),
+    ("two-free.ansatz", "# dim 1\n1 : a : free\n-1 : b : free\n",
+     ["search", "--prime", "7", "--height", NINES, "-s", "SERIES", "-a"],
+     "error: 6 residue combinations modulo 7 could need 4897959183673469387755102040816326530612..."
+     " (6000 characters) lifts into [-9999999999999999999999999999999999999999... (3000 characters),"
+     " 9999999999999999999999999999999999999999... (3000 characters)], more than the 10000000 a"
+     " search may try\n"),
+    ("short.series", "0 1\n1 0\n2 12\n", ["fit", "-m", NINES, "-r", NINES, "-s"],
+     "error: prefix too short: need N >= 1000000000000000000000000000000000000000... (6001"
+     " characters) for order 9999999999999999999999999999999999999999... (3000 characters),"
+     " t-degree 9999999999999999999999999999999999999999... (3000 characters), got 2\n"),
+])
+def test_refusals_quote_numbers_past_the_int_to_str_limit(tmp_path, capsys, name, text, args,
+                                                            message):
+    path = tmp_path / name
+    path.write_text(text)
+    series = tmp_path / "two-free.series"
+    series.write_text("0 1\n1 0\n2 12\n3 0\n4 216\n5 0\n6 4320\n7 0\n8 90720\n")
+    argv = [str(series) if arg == "SERIES" else arg for arg in args]
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_an_oversized_fit_exits_2_at_once(tmp_path, capsys):
+    """m = r = 60 through order 3781 would be 14072822 cells."""
+    series = tmp_path / "long.series"
+    series.write_text("".join(f"{i} 1\n" for i in range(3782)))
+    start = time.perf_counter()
+    assert main(["fit", "-s", str(series), "-m", "60", "-r", "60", "-N", "3781"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "error: the fit's system has 14072822 cells,"
+                                   " (N + 1)(m + 1)(r + 1), over 200000, the most a fit takes\n")
 
 
 INTEGER_FIELD_CASES = [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weaklg import dseries
 from weaklg.dseries import (
     DOperator,
     IndicialObstruction,
@@ -145,7 +146,7 @@ def test_apply_operator_annihilates_its_own_solution():
 
 def test_apply_operator_sees_a_perturbation():
     sol = solve_series(L16, 8)
-    bumped = PowerSeries(list(sol.coefficients()[:-1]) + [sol[8] + 1])
+    bumped = PowerSeries(sol[:-1] + (sol[8] + 1,))
     residual = apply_operator(L16, bumped)
     assert any(residual)
     assert residual[8] == L16.p_value(0, 8)
@@ -227,6 +228,16 @@ def test_fit_rejects_short_prefixes():
         fit_operator(sol, 3, 2, N=12)
     with pytest.raises(ValueError):
         fit_operator(sol, 3, 2, N=11)
+
+
+def test_fit_refuses_a_system_over_its_cell_bound(monkeypatch):
+    """12 rows of 4 unknowns fit within 48 cells, and 47 refuse them."""
+    sol = solve_series(L16, 11)
+    monkeypatch.setattr(dseries, "MAX_FIT_CELLS", 48)
+    assert fit_operator(sol, 1, 1, N=11) == []
+    monkeypatch.setattr(dseries, "MAX_FIT_CELLS", 47)
+    with pytest.raises(ValueError, match=r"^the fit's system has 48 cells, .* over 47, "):
+        fit_operator(sol, 1, 1, N=11)
 
 
 def test_fit_returns_empty_when_nothing_annihilates():

@@ -1,8 +1,8 @@
 """Cross-checks of the exact linear algebra against sympy and the Bareiss
 oracles `corpus.rank_bareiss` and `corpus.nullspace_bareiss`, of the packed
-`_rref_mod` against `corpus.rref_mod_gauss_jordan`, of `echelon` against
-sympy, of `det` against the Leibniz formula, and of the primality test against
-trial division."""
+`_rref_mod` against `corpus.rref_mod_gauss_jordan`, of `echelon` and `kernel`
+against sympy, of `det` against the Leibniz formula, and of the primality test
+against trial division."""
 
 import itertools
 import operator
@@ -89,6 +89,31 @@ def test_nullspace_without_rows_raises():
         linalg.nullspace([])
     with pytest.raises(ValueError, match="^nullspace needs at least one row$"):
         nullspace_bareiss([])
+
+
+def test_kernel_is_an_integer_basis_matching_sympy():
+    """Integral, annihilating every row, and of sympy's dimension, on matrices
+    up to 6 x 8 with zero rows, rank deficiency, and no rows at all."""
+    rng = random.Random(31)
+    deficient = zero_rows = 0
+    for _ in range(300):
+        nrows, width = rng.randint(0, 6), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        if nrows and rng.random() < 0.2:
+            rows[rng.randrange(nrows)] = [0] * width
+        basis = linalg.kernel(rows, width)
+        expected = len(sympy.Matrix(rows).nullspace()) if rows else width
+        assert len(basis) == expected
+        assert not basis or linalg.rank(basis) == len(basis)
+        for w in basis:
+            assert len(w) == width and all(isinstance(x, int) for x in w) and any(w)
+            assert all(sum(map(operator.mul, row, w)) == 0 for row in rows)
+        deficient += width - len(basis) < min(nrows, width)
+        zero_rows += any(not any(row) for row in rows)
+    assert deficient > 50 and zero_rows > 20
+    assert linalg.kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_det_agrees_with_sympy():

@@ -18,7 +18,6 @@ from corpus import (
 from weaklg.laurent import LaurentPoly, ParseError, substitute_monomial
 from weaklg.polytope import (
     NotFullDimensional,
-    _hyperplane_normal,
     anticanonical_degree,
     anticanonical_sections,
     convex_hull,
@@ -117,7 +116,7 @@ def test_hyperplane_normal_is_the_primitive_minor_vector():
             minors = [(-1) ** i * det_leibniz([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)]
             if not any(minors):
                 continue
-            a = _hyperplane_normal(points)
+            (a,) = linalg.kernel(rows, n)
             assert any(a) and math.gcd(*a) == 1
             assert all(sum(x * y for x, y in zip(a, r)) == 0 for r in rows)
             g = math.gcd(*minors)
@@ -127,11 +126,12 @@ def test_hyperplane_normal_is_the_primitive_minor_vector():
 
 
 def test_hull_inserts_far_points_first(monkeypatch):
-    """The cones `_boundary` builds, counted at `_hyperplane_normal`: a change
-    of insertion order shows here as a count, not as a timing."""
+    """The cones `_boundary` builds, counted at `linalg.kernel`: a change of
+    insertion order shows here as a count, not as a timing."""
     cones = []
-    monkeypatch.setattr("weaklg.polytope._hyperplane_normal",
-                        lambda points: cones.append(points) or _hyperplane_normal(points))
+    real = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel",
+                        lambda rows, width: cones.append(rows) or real(rows, width))
     rng = random.Random(200)
     box = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(200)]
     counts = []
@@ -391,14 +391,18 @@ def test_picard_rank_of_newton_polytopes():
 
 def test_picard_rank_skips_the_nullspace_of_simplicial_facets(monkeypatch):
     """n vertices of a facet, on a hyperplane that misses the origin, have no
-    dependency: the octahedron's 8 triangles need no nullspace, while each of
-    the cube's 6 squares needs one, and the rank one more over their rows."""
-    shapes = []
-    real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace",
-                        lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
-    assert picard_rank(octahedron()) == 3 and shapes == []
-    assert picard_rank(cube()) == 1 and shapes == [(3, 4)] * 6 + [(6, 8)]
+    dependency: the octahedron's 8 triangles need no kernel, while each of the
+    cube's 6 squares needs one, and the only nullspace is the rank's over
+    their rows."""
+    kernels, nullspaces = [], []
+    real_kernel, real_nullspace = linalg.kernel, linalg.nullspace
+    hulls = octahedron(), cube()
+    monkeypatch.setattr(linalg, "kernel", lambda rows, width: kernels.append(
+        (len(rows), width)) or real_kernel(rows, width))
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspaces.append(
+        (len(rows), len(rows[0]))) or real_nullspace(rows))
+    assert picard_rank(hulls[0]) == 3 and kernels == nullspaces == []
+    assert picard_rank(hulls[1]) == 1 and kernels == [(3, 4)] * 6 and nullspaces == [(6, 8)]
 
 
 def test_picard_rank_vertex_dependencies_match_all_pairs_oracle():
