@@ -72,30 +72,30 @@ def _self_check():
                            " the recorded discrepancy")
 
 
-_META_KEYS = ("name", "genus", "degree", "h0", "picard-rank", "known-discrepancy")
-_SECTIONS = ("meta", "operator", "derived-operator", "model", "notes")
+# The record format, in written order: each meta key with its field, and each
+# section between [meta] and [notes], free text, with its field and reader.  A
+# field with a default in FanoRecord is optional; every required meta key but
+# the name is an integer.
+_META = (
+    ("name", "name"), ("genus", "genus"), ("degree", "degree"), ("h0", "h0"),
+    ("picard-rank", "picard_rank"), ("known-discrepancy", "known_discrepancy"),
+)
+_SECTIONS = (
+    ("operator", "operator", DOperator.from_text),
+    ("derived-operator", "derived_operator", DOperator.from_text),
+    ("model", "model", LaurentPoly.from_text),
+)
 
 
 def dumps(record):
     lines = ["[meta]"]
-    lines.append(f"name: {record.name}")
-    lines.append(f"genus: {record.genus}")
-    lines.append(f"degree: {record.degree}")
-    lines.append(f"h0: {record.h0}")
-    lines.append(f"picard-rank: {record.picard_rank}")
-    if record.known_discrepancy is not None:
-        lines.append(f"known-discrepancy: {record.known_discrepancy}")
-    lines.append("[operator]")
-    lines.append(record.operator.to_text().rstrip("\n"))
-    if record.derived_operator is not None:
-        lines.append("[derived-operator]")
-        lines.append(record.derived_operator.to_text().rstrip("\n"))
-    if record.model is not None:
-        lines.append("[model]")
-        lines.append(record.model.to_text().rstrip("\n"))
+    lines += [f"{key}: {getattr(record, field)}" for key, field in _META
+              if getattr(record, field) is not None]
+    for name, field, _ in _SECTIONS:
+        if getattr(record, field) is not None:
+            lines += [f"[{name}]", getattr(record, field).to_text().rstrip("\n")]
     if record.notes:
-        lines.append("[notes]")
-        lines.append(record.notes)
+        lines += ["[notes]", record.notes]
     return "\n".join(lines) + "\n"
 
 
@@ -103,11 +103,12 @@ def _parse(text):
     sections = {}
     current = None
     start_line = {}
+    known = {"meta", "notes", *(name for name, _, _ in _SECTIONS)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
-            if name not in _SECTIONS:
+            if name not in known:
                 raise ParseError(f"unknown section {clip(name)!r}", lineno)
             if name in sections:
                 raise ParseError(f"duplicate section {name!r}", lineno)
@@ -127,58 +128,42 @@ def _parse(text):
         return "\n".join(sections[name])
 
     meta = {}
+    keys = dict(_META)
     for lineno, line in data_lines(section_text("meta")):
         lineno += start_line["meta"]
         key, sep, value = line.partition(":")
         key = key.strip()
-        if not sep or key not in _META_KEYS:
+        if not sep or key not in keys:
             raise ParseError(f"bad meta line {clip(line)!r}", lineno)
         if key in meta:
             raise ParseError(f"duplicate meta key {key!r}", lineno)
         meta[key] = (lineno, value.strip())
-    for key in ("name", "genus", "degree", "h0", "picard-rank"):
+    fields = {keys[key]: value for key, (_, value) in meta.items()}
+    required = [key for key, field in _META if field not in FanoRecord._field_defaults]
+    for key in required:
         if key not in meta:
             raise ParseError(f"missing meta key {key!r}", start_line["meta"])
-    numbers = {}
-    for key in ("genus", "degree", "h0", "picard-rank"):
+    for key in required[1:]:
         lineno, value = meta[key]
         number = parse_ints(value)
         if number is None or len(number) != 1:
             raise ParseError(f"meta key {key!r} must be an integer", lineno)
-        numbers[key] = number[0]
-    if "operator" not in sections:
-        raise ParseError("missing [operator] section")
+        fields[keys[key]] = number[0]
 
-    def parse_section(name, parser):
+    for name, field, reader in _SECTIONS:
+        if name not in sections:
+            if field not in FanoRecord._field_defaults:
+                raise ParseError(f"missing [{name}] section")
+            continue
         try:
-            return parser(section_text(name))
+            fields[field] = reader(section_text(name))
         except ParseError as exc:
             offset = start_line[name]
             line = offset + exc.line if exc.line is not None else offset
             raise ParseError(f"in [{name}]: {exc.message}", line) from None
-
-    operator = parse_section("operator", DOperator.from_text)
-    derived = (
-        parse_section("derived-operator", DOperator.from_text)
-        if "derived-operator" in sections
-        else None
-    )
-    model = (
-        parse_section("model", LaurentPoly.from_text) if "model" in sections else None
-    )
-    notes = section_text("notes").strip() if "notes" in sections else ""
-    return FanoRecord(
-        name=meta["name"][1],
-        genus=numbers["genus"],
-        degree=numbers["degree"],
-        h0=numbers["h0"],
-        picard_rank=numbers["picard-rank"],
-        operator=operator,
-        model=model,
-        derived_operator=derived,
-        known_discrepancy=meta["known-discrepancy"][1] if "known-discrepancy" in meta else None,
-        notes=notes,
-    )
+    if "notes" in sections:
+        fields["notes"] = section_text("notes").strip()
+    return FanoRecord(**fields)
 
 
 def _warn_on_degree(record):

@@ -21,7 +21,7 @@ from .laurent import (
     constant_term_series_mitm,
 )
 from .polytope import invariant_report, newton_polytope, polytope_from_text
-from .search import HeightBoundExceeded, SearchConfig, SupportAnsatz, search
+from .search import HeightBoundExceeded, SearchConfig, SearchResult, SupportAnsatz, search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,19 +180,16 @@ def _cmd_search(args):
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
     try:
-        result = search(ansatz, config)
+        result, empty = search(ansatz, config), "no candidates found"
     except HeightBoundExceeded as exc:
-        sys.stdout.write("matches: 0\n")
-        sys.stdout.write(exc.stats.to_document())
-        print(f"search stopped: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+        result, empty = SearchResult((), exc.stats), f"search stopped: {exc}"
     sys.stdout.write(f"matches: {len(result.matches)}\n")
     for match in result.matches:
         sys.stdout.write("\n")
         sys.stdout.write(match.to_text())
     sys.stdout.write(result.stats.to_document())
     if not result.matches:
-        print("no candidates found", file=sys.stderr)
+        print(empty, file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
 

@@ -201,7 +201,7 @@ def fit_operator(series, m, r, N=None):
     if N is None:
         N = min(series.order, unknowns + 9)
     if N > series.order:
-        raise ValueError(f"series has order {series.order}, cannot fit through {N}")
+        raise ValueError(f"series has order {series.order}, cannot fit through {clip(N)}")
     if N < minimum:
         raise ValueError(f"prefix too short: need N >= {clip(minimum)} for order {clip(m)},"
                          f" t-degree {clip(r)}, got {clip(N)}")
@@ -283,8 +283,8 @@ class VerificationReport(namedtuple(
             f"first-mismatch: {'none' if self.first_mismatch is None else self.first_mismatch}",
             f"newton-interior: {'true' if self.newton_interior else 'false'}",
             f"quartic-passes: {'true' if self.quartic.passes else 'false'}",
-            f"quartic-cleared-degree: {self.quartic.cleared_degree}",
-            f"quartic-shift: {' '.join(str(x) for x in self.quartic.shift)}",
+            f"quartic-cleared-degree: {format_rational(self.quartic.cleared_degree)}",
+            f"quartic-shift: {' '.join(map(format_rational, self.quartic.shift))}",
             f"determination-order: {self.determination_order}",
             f"determined-within-bound: {'true' if self.determined_within_bound else 'false'}",
         ]

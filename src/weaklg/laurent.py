@@ -157,7 +157,7 @@ class PointDims:
         if n[0] < 1:
             raise ParseError("dimension must be positive", lineno)
         if self.n not in (None, n[0]):
-            raise ParseError(f"'# dim {clip(n[0])}' contradicts dimension {self.n}", lineno)
+            raise ParseError(f"'# dim {clip(n[0])}' contradicts dimension {clip(self.n)}", lineno)
         self.n = n[0]
 
     def point(self, field, lineno, what="point"):
@@ -170,7 +170,7 @@ class PointDims:
         if self.n is None:
             self.n = len(point)
         if len(point) != self.n:
-            raise ParseError(f"{what} has {len(point)} coordinates, expected {self.n}", lineno)
+            raise ParseError(f"{what} has {len(point)} coordinates, expected {clip(self.n)}", lineno)
         return point
 
 

@@ -1,12 +1,11 @@
 """Small exact linear algebra helpers over the rationals.
 
 Matrices are plain sequences of rows, scaled to integers.  There are two
-eliminations.  The fit's large rational systems go through `nullspace`, modulo
-primes on rows packed one int each, and certified by checking every basis
-vector against every row in exact integers; `rank` is read off it.  Small
-integer matrices, such as the hull's edge vectors and facet normals and the
-vertices of a facet, go through the fraction-free `echelon`: `kernel` and
-`det` are read off it.
+eliminations.  The fraction-free `echelon` answers every rank, on the rows
+scaled to integers, and `kernel` and `det` are read off it.  `nullspace`
+serves the fit's large rational systems alone, for `dseries.fit_operator`:
+it eliminates modulo primes on rows packed one int each, and certifies the
+result by checking every basis vector against every row in exact integers.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ def _scaled_integer_rows(rows):
 
 
 def rank(rows) -> int:
-    """Exact rank: the certified nullspace leaves no room for an unlucky prime."""
-    return len(rows[0]) - len(nullspace(rows)) if rows else 0
+    """Exact rank: the pivot count of `echelon` on the rows scaled to integers."""
+    return len(echelon(_scaled_integer_rows(rows))[1])
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -44,7 +43,8 @@ def is_prime(n) -> bool:
     if any(n % a == 0 for a in _BASES):
         return n in _BASES
     if n >= _PRIME_BOUND:
-        raise ValueError(f"{n} is too large to test: primality is exact below {_PRIME_BOUND}")
+        from .laurent import clip  # laurent imports this module
+        raise ValueError(f"{clip(n)} is too large to test: primality is exact below {_PRIME_BOUND}")
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))

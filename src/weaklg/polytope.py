@@ -90,7 +90,7 @@ def _boundary(pts):
     simplices has.  The points go in farthest first, by decreasing L1
     distance from their centroid with ties in sorted order, so that fewer
     cones are built only to be replaced.  The starting simplex's edges are
-    tested for independence by the pivot count of `linalg.echelon`.
+    tested for independence by `linalg.rank`.
     """
     n, m = len(pts[0]), len(pts)
     centre = [sum(col) for col in zip(*pts)]
@@ -101,7 +101,7 @@ def _boundary(pts):
         if len(directions) == n:
             break
         d = [x - b for x, b in zip(p, base)]
-        if len(linalg.echelon(directions + [d])[1]) > len(directions):
+        if linalg.rank(directions + [d]) > len(directions):
             simplex.append(p)
             directions.append(d)
     if len(directions) < n:
@@ -152,7 +152,7 @@ def convex_hull(points):
     vertices = []
     for p in pts:
         incident = [a for a, c in facet_list if _dot(a, p) == c]
-        if len(linalg.echelon(incident)[1]) == n:
+        if linalg.rank(incident) == n:
             vertices.append(p)
     return RationalPolytope(n, vertices, facet_list)
 

@@ -280,7 +280,7 @@ class SearchConfig(namedtuple(
             raise ValueError("primes must be distinct")
         for p in primes:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{clip(p)} is not prime")
         if height < 1:
             raise ValueError("height bound must be at least 1")
         if depth < 2:
@@ -290,7 +290,7 @@ class SearchConfig(namedtuple(
         if target.order < verify_depth:
             raise ValueError(
                 f"target series order {target.order} is below the"
-                f" verification depth {verify_depth}"
+                f" verification depth {clip(verify_depth)}"
             )
         if target[0] != 1:
             raise ValueError("target series must have constant coefficient 1")

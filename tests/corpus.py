@@ -138,6 +138,18 @@ def random_mutation_pair(rng, n=3):
     return substitute_monomial(f, matrix), substitute_monomial(f_prime, matrix)
 
 
+def flat_operator(op, r):
+    """The coefficient table of op, padded with zero rows to t-degree r, as one row."""
+    rows = list(op.table) + [(0,) * (op.order + 1)] * (r - op.t_degree)
+    return [x for row in rows for x in row]
+
+
+def in_span(op, basis, r):
+    """True when op lies in the span of the fitted basis of t-degree <= r."""
+    rows = [flat_operator(b, r) for b in basis]
+    return linalg.rank(rows + [flat_operator(op, r)]) == linalg.rank(rows)
+
+
 def _dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
 

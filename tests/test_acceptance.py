@@ -11,9 +11,11 @@ import random
 import time
 from fractions import Fraction
 
-from corpus import phi_bruteforce, random_laurent, random_scales, random_unimodular, resize
+from corpus import (
+    in_span, phi_bruteforce, random_laurent, random_scales, random_unimodular, resize,
+)
 
-from weaklg import catalog, linalg
+from weaklg import catalog
 from weaklg.cli import main as cli_main
 from weaklg.dseries import DOperator, apply_operator, fit_operator, solve_series
 from weaklg.laurent import (
@@ -183,16 +185,6 @@ def test_08_search_recovers_v18_from_its_support(capsys):
         assert elapsed < 600.0
 
 
-def _flat(op, r):
-    rows = list(op.table) + [(0,) * (op.order + 1)] * (r - op.t_degree)
-    return [x for row in rows for x in row]
-
-
-def _in_span(op, basis, r):
-    rows = [_flat(b, r) for b in basis]
-    return linalg.rank(rows + [_flat(op, r)]) == linalg.rank(rows)
-
-
 def test_09_fit_round_trips_random_operators(capsys):
     with _criterion(
         capsys, 9, "25 random operators are recovered from their solutions"
@@ -210,7 +202,7 @@ def test_09_fit_round_trips_random_operators(capsys):
             window = (m + 1) * (r + 1) + r + 5
             basis = fit_operator(solve_series(op, window), m, r)
             assert basis
-            assert _in_span(op, basis, r)
+            assert in_span(op, basis, r)
             if len(basis) == 1:
                 assert basis[0].is_scalar_multiple(op)
 

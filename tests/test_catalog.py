@@ -172,6 +172,33 @@ def test_dumps_loads_round_trip():
         assert again == rec
 
 
+@pytest.mark.parametrize("parts", range(16))
+def test_every_combination_of_optional_parts_round_trips(parts):
+    """V22 has all four optional parts; each bit of `parts` drops one."""
+    drops = {"known_discrepancy": None, "derived_operator": None, "model": None, "notes": ""}
+    rec = catalog.builtin("V22")._replace(
+        **{field: empty for bit, (field, empty) in enumerate(drops.items()) if parts >> bit & 1})
+    text = catalog.dumps(rec)
+    again = catalog.loads(text)
+    assert again == rec and catalog.dumps(again) == text
+
+
+def test_record_checks_run_in_format_order():
+    """Every meta key is looked for before any is read as an integer, and
+    the meta keys are checked before the sections."""
+    good = catalog.dumps(catalog.builtin("V16"))
+    for text, message in (
+        (good.replace("genus: 9", "genus: nine").replace("h0: 11\n", ""),
+         "line 1: missing meta key 'h0'"),
+        (good.replace("genus: 9", "genus: nine").split("[operator]")[0],
+         "line 3: meta key 'genus' must be an integer"),
+        (good.split("[operator]")[0] + "[model]\nbad\n", "missing [operator] section"),
+    ):
+        with pytest.raises(ParseError) as info:
+            catalog.loads(text)
+        assert str(info.value) == message
+
+
 def test_save_load_files(tmp_path):
     path = tmp_path / "v18.rec"
     path.write_text(catalog.dumps(catalog.builtin("V18")), encoding="utf-8")

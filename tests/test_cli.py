@@ -413,6 +413,50 @@ def test_refusals_quote_numbers_past_the_int_to_str_limit(tmp_path, capsys, name
     assert capsys.readouterr() == ("", message)
 
 
+def test_verify_prints_a_cleared_degree_past_the_int_to_str_limit(tmp_path, v16_files, capsys):
+    """x^e + x^-e + y + 1/y + z + 1/z with e = 10^4300 - 1: the exponents
+    parse, and the cleared degree 2 * 10^4300 has 4301 digits, which str()
+    refuses."""
+    nines = "9" * 4300
+    poly = tmp_path / "huge.poly"
+    poly.write_text(f"# dim 3\n1 : {nines} 0 0\n1 : -{nines} 0 0\n"
+                    "1 : 0 1 0\n1 : 0 -1 0\n1 : 0 0 1\n1 : 0 0 -1\n")
+    assert main(["verify", "-f", str(poly), "-L", str(v16_files[1]), "-N", "2"]) == 3
+    out, err = capsys.readouterr()
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert err == "" and fields["verdict"] == "mismatch"
+    assert fields["quartic-cleared-degree"] == "2" + "0" * 4300
+    assert fields["quartic-shift"] == nines + " 1 1"
+
+
+BIG = "1" + "0" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^3000 + 1 has the factor 17; 10^2999 + 7 has no factor among the
+    # Miller-Rabin bases, so only the primality bound refuses it.
+    ["search", "-a", "toy.ansatz", "-s", "v16.series", "--prime", BIG[:-1] + "1"],
+    ["search", "-a", "toy.ansatz", "-s", "v16.series", "--prime", BIG[:-2] + "7"],
+    ["search", "-a", "toy.ansatz", "-s", "v16.series", "--verify-depth", BIG],
+    ["fit", "-s", "v16.series", "-m", "1", "-r", "1", "-N", BIG],
+    ["series", "-f", "dim.poly"],
+    ["polytope", "-p", "dim.vertices"],
+    ["polytope", "-p", "dims.vertices"],
+], ids=["composite-prime", "untestable-prime", "verify-depth", "fit-order", "series-dim",
+        "polytope-dim", "polytope-dim-header"])
+def test_refusals_clip_the_numbers_they_quote(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "toy.ansatz").write_text("# dim 1\n1 : apex : fixed 1\n-1 : tail : free\n")
+    (tmp_path / "v16.series").write_text(solve_series(catalog.builtin("V16").operator, 8).to_text())
+    (tmp_path / "dim.poly").write_text(f"# dim {BIG}\n1 : 1 2 3\n")
+    (tmp_path / "dim.vertices").write_text(f"# dim {BIG}\n1 2 3\n")
+    (tmp_path / "dims.vertices").write_text(f"# dim {BIG}\n# dim 3\n1 2 3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200 and " characters)" in err and "Exceeds the limit" not in err
+
+
 def test_an_oversized_fit_exits_2_at_once(tmp_path, capsys):
     """m = r = 60 through order 3781 would be 14072822 cells."""
     series = tmp_path / "long.series"

@@ -22,7 +22,7 @@ from weaklg.laurent import (
     constant_term_series,
 )
 
-from corpus import random_laurent
+from corpus import in_span, random_laurent
 
 L16 = DOperator(
     [
@@ -176,18 +176,6 @@ def test_fit_recovers_aperys_operator_from_straubs_model():
     assert basis[0].table == ((0, 0, 0, 1), (-5, -27, -51, -34), (1, 3, 3, 1))
 
 
-def _flat(op, r):
-    rows = list(op.table) + [(0,) * (op.order + 1)] * (r - op.t_degree)
-    return [x for row in rows for x in row]
-
-
-def _in_span(op, basis, r):
-    from weaklg import linalg
-
-    rows = [_flat(b, r) for b in basis]
-    return linalg.rank(rows + [_flat(op, r)]) == linalg.rank(rows)
-
-
 def test_fit_wider_window_includes_t_multiples():
     """The (3, 3) window around a t-degree-2 operator picks up its t-multiple.
 
@@ -197,9 +185,9 @@ def test_fit_wider_window_includes_t_multiples():
     sol = solve_series(L16, 30)
     basis = fit_operator(sol, 3, 3)
     assert len(basis) == 2
-    assert _in_span(L16, basis, 3)
+    assert in_span(L16, basis, 3)
     t_multiple = DOperator([[0, 0, 0, 0]] + [list(row) for row in L16.table])
-    assert _in_span(t_multiple, basis, 3)
+    assert in_span(t_multiple, basis, 3)
     for op in basis:
         if any(op.table[0]):
             assert solve_series(op, 20) == solve_series(L16, 20)
@@ -215,7 +203,7 @@ def test_fit_round_trip_random_operators():
         op = random_operator(rng, m, r)
         sol = solve_series(op, (m + 1) * (r + 1) + r + 10)
         basis = fit_operator(sol, m, r)
-        assert _in_span(op, basis, r)
+        assert in_span(op, basis, r)
         if len(basis) == 1:
             singles += 1
             assert basis[0].is_scalar_multiple(op)

@@ -392,8 +392,8 @@ def test_picard_rank_of_newton_polytopes():
 def test_picard_rank_skips_the_nullspace_of_simplicial_facets(monkeypatch):
     """n vertices of a facet, on a hyperplane that misses the origin, have no
     dependency: the octahedron's 8 triangles need no kernel, while each of the
-    cube's 6 squares needs one, and the only nullspace is the rank's over
-    their rows."""
+    cube's 6 squares needs one.  The rank over their rows is `echelon`'s pivot
+    count, so neither polytope makes a nullspace call."""
     kernels, nullspaces = [], []
     real_kernel, real_nullspace = linalg.kernel, linalg.nullspace
     hulls = octahedron(), cube()
@@ -402,7 +402,7 @@ def test_picard_rank_skips_the_nullspace_of_simplicial_facets(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspaces.append(
         (len(rows), len(rows[0]))) or real_nullspace(rows))
     assert picard_rank(hulls[0]) == 3 and kernels == nullspaces == []
-    assert picard_rank(hulls[1]) == 1 and kernels == [(3, 4)] * 6 and nullspaces == [(6, 8)]
+    assert picard_rank(hulls[1]) == 1 and kernels == [(3, 4)] * 6 and nullspaces == []
 
 
 def test_picard_rank_vertex_dependencies_match_all_pairs_oracle():
