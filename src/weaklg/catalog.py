@@ -15,8 +15,6 @@ polytope invariants; their operators annihilate their models' series and are
 derived data, as their notes say.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections import namedtuple
 from fractions import Fraction

@@ -6,17 +6,15 @@ human table.  Exit codes: 0 success, 1 usage error, 2 bad input, 3 a
 verification or expectation mismatch, 4 an empty search.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 import warnings
 
-from . import catalog as _catalog
 from .dseries import DOperator, fit_operator, solve_series, verify_weak_lg
 from .laurent import (
     LaurentPoly,
     PowerSeries,
+    clip,
     constant_term_series,
     constant_term_series_mitm,
 )
@@ -41,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(token):
+    """int(token) for an option, quoting a refused token through `clip`."""
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(token)!r}") from None
+
+
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -52,14 +58,14 @@ def _build_parser():
 
     p = sub.add_parser("series", help="constant-term series of a Laurent polynomial")
     p.add_argument("-f", "--poly", required=True, metavar="FILE")
-    p.add_argument("-N", type=int, default=10, help="truncation order (default 10)")
+    p.add_argument("-N", type=_int, default=10, help="truncation order (default 10)")
     p.add_argument("--mitm", action="store_true",
                    help="accepted for compatibility: the one split-power evaluator"
                         " always runs, and the output is the same")
 
     p = sub.add_parser("solve", help="fundamental solution of an operator")
     p.add_argument("-L", "--operator", required=True, metavar="FILE")
-    p.add_argument("-N", type=int, default=10, help="truncation order (default 10)")
+    p.add_argument("-N", type=_int, default=10, help="truncation order (default 10)")
 
     p = sub.add_parser("verify", help="compare a polynomial's series with an operator's")
     p.add_argument("-f", "--poly", metavar="FILE")
@@ -68,14 +74,14 @@ def _build_parser():
                    help="take the model and operator from a builtin record")
     p.add_argument("--derived", action="store_true",
                    help="with --catalog, use the record's derived operator")
-    p.add_argument("-N", type=int, default=20, help="comparison order (default 20)")
+    p.add_argument("-N", type=_int, default=20, help="comparison order (default 20)")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("fit", help="fit annihilating operators to a series prefix")
     p.add_argument("-s", "--series", required=True, metavar="FILE")
-    p.add_argument("-m", type=int, required=True, help="operator order in D")
-    p.add_argument("-r", type=int, required=True, help="operator degree in t")
-    p.add_argument("-N", type=int, default=None,
+    p.add_argument("-m", type=_int, required=True, help="operator order in D")
+    p.add_argument("-r", type=_int, required=True, help="operator degree in t")
+    p.add_argument("-N", type=_int, default=None,
                    help="series order to constrain against (default: the series order,"
                         " or the unknown count (m+1)(r+1) plus 9 if that is less)")
 
@@ -86,12 +92,12 @@ def _build_parser():
                    help="target = this operator's fundamental solution")
     p.add_argument("--catalog", metavar="NAME",
                    help="target = the builtin record's operator solution")
-    p.add_argument("--prime", type=int, action="append", metavar="P",
+    p.add_argument("--prime", type=_int, action="append", metavar="P",
                    help="modulus, repeatable (default 7)")
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--verify-depth", type=int, default=8, dest="verify_depth")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--height", type=_int, default=6)
+    p.add_argument("--depth", type=_int, default=4)
+    p.add_argument("--verify-depth", type=_int, default=8, dest="verify_depth")
+    p.add_argument("--threads", type=_int, default=1)
 
     p = sub.add_parser("polytope", help="lattice-polytope screening invariants")
     p.add_argument("-p", "--vertices", metavar="FILE", help="vertex list file")
@@ -129,7 +135,9 @@ def _require(condition, message):
 
 
 def _cmd_verify(args):
-    record = _catalog.builtin(args.catalog) if args.catalog else None
+    if args.catalog:
+        from . import catalog
+    record = catalog.builtin(args.catalog) if args.catalog else None
     _require(args.poly or record, "verify needs -f or --catalog")
     _require(args.operator or record, "verify needs -L or --catalog")
     _require(not args.derived or record, "--derived only applies with --catalog")
@@ -169,7 +177,8 @@ def _cmd_search(args):
     elif args.operator:
         target = solve_series(DOperator.from_text(_read(args.operator)), args.verify_depth)
     else:
-        target = solve_series(_catalog.builtin(args.catalog).operator, args.verify_depth)
+        from . import catalog
+        target = solve_series(catalog.builtin(args.catalog).operator, args.verify_depth)
     config = SearchConfig(
         target=target,
         primes=tuple(args.prime) if args.prime else (7,),
@@ -196,7 +205,9 @@ def _cmd_search(args):
 
 def _cmd_polytope(args):
     _require(not (args.vertices and args.poly), "pass only one of -p and -f")
-    record = _catalog.builtin(args.catalog) if args.catalog else None
+    if args.catalog or args.expect:
+        from . import catalog
+    record = catalog.builtin(args.catalog) if args.catalog else None
     if args.vertices:
         P = polytope_from_text(_read(args.vertices))
     elif args.poly:
@@ -209,7 +220,7 @@ def _cmd_polytope(args):
     if args.expect:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            expected = _catalog.load(args.expect)
+            expected = catalog.load(args.expect)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     report = invariant_report(P, expected)
@@ -220,13 +231,15 @@ def _cmd_polytope(args):
 
 
 def _cmd_catalog(args):
+    from . import catalog
+
     if args.action == "list":
         _require(args.name is None, "catalog list takes no name")
-        for name in _catalog.names():
+        for name in catalog.names():
             sys.stdout.write(name + "\n")
         return EXIT_OK
     _require(args.name is not None, "catalog show needs a record name")
-    sys.stdout.write(_catalog.dumps(_catalog.builtin(args.name)))
+    sys.stdout.write(catalog.dumps(catalog.builtin(args.name)))
     return EXIT_OK
 
 
@@ -245,19 +258,14 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise _UsageError("a subcommand is required (try --help)")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help prints and leaves through argparse
         return int(exc.code or 0)
-    if args.command is None:
-        print("usage error: a subcommand is required (try --help)", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

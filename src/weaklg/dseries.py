@@ -9,8 +9,6 @@ Laurent polynomial's constant-term series and an operator's fundamental
 solution.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import comb

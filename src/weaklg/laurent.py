@@ -13,8 +13,6 @@ Everything is exact; coefficients are Python ints where possible and
 Fractions otherwise.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re

@@ -8,8 +8,6 @@ it eliminates modulo primes on rows packed one int each, and certifies the
 result by checking every basis vector against every row in exact integers.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from fractions import Fraction

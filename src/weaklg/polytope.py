@@ -10,8 +10,6 @@ vertices -a/c.  The hull's boundary triangulation also gives the volume, so
 every invariant works in any dimension.
 """
 
-from __future__ import annotations
-
 import collections
 import itertools
 import math

@@ -22,8 +22,6 @@ verified with the rational engine, so nothing modular is ever trusted in the
 output.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

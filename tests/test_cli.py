@@ -10,6 +10,7 @@ from weaklg import catalog
 from weaklg.cli import main
 from weaklg.dseries import DOperator, solve_series
 from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
+from weaklg.polytope import newton_polytope
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -457,6 +458,32 @@ def test_refusals_clip_the_numbers_they_quote(tmp_path, monkeypatch, capsys, arg
     assert len(err) < 200 and " characters)" in err and "Exceeds the limit" not in err
 
 
+INT_OPTIONS = {
+    "-N": ["series", "-f", "x.poly"],
+    "-m": ["fit", "-s", "x.series", "-r", "1"],
+    "-r": ["fit", "-s", "x.series", "-m", "1"],
+    "--prime": ["search", "-a", "x.ansatz", "-s", "x.series"],
+    "--height": ["search", "-a", "x.ansatz", "-s", "x.series"],
+    "--depth": ["search", "-a", "x.ansatz", "-s", "x.series"],
+    "--verify-depth": ["search", "-a", "x.ansatz", "-s", "x.series"],
+    "--threads": ["search", "-a", "x.ansatz", "-s", "x.series"],
+}
+
+
+@pytest.mark.parametrize("option", INT_OPTIONS)
+def test_a_refused_integer_option_is_quoted_on_one_short_line(capsys, option):
+    argv = INT_OPTIONS[option]
+    for token in ("abc", "1e3"):
+        assert main([*argv, option, token]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: argument {option}: invalid int value: '{token}'\n")
+    assert main([*argv, option, "1" + "0" * 5000]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err == (f"usage error: argument {option}: invalid int value:"
+                   f" '1{'0' * 39}... (5001 characters)'\n")
+
+
 def test_an_oversized_fit_exits_2_at_once(tmp_path, capsys):
     """m = r = 60 through order 3781 would be 14072822 cells."""
     series = tmp_path / "long.series"
@@ -720,3 +747,35 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "series" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],
+    ["catalog", "show", "V22"],
+    ["verify", "--catalog", "V16", "-N", "4"],
+    ["verify", "--catalog", "V22", "--derived", "-N", "4"],
+    ["search", "-a", "{tmp}/v16.ansatz", "--catalog", "V16", "--depth", "2", "--verify-depth", "4"],
+    ["polytope", "-p", "{tmp}/v16.vertices", "--expect", "{tmp}/bad.rec"],
+], ids=["catalog-list", "catalog-show", "verify", "verify-derived", "search", "polytope-expect"])
+def test_a_fresh_process_imports_the_catalog_where_a_record_is_read(tmp_path, capsys, argv):
+    """`weaklg.cli` imports the catalog only in the commands that read a record.
+
+    Here the test module has it imported already, so each command runs in a
+    fresh interpreter too, under PYTHONWARNINGS=error, and must print and exit
+    as `main` does in this process.
+    """
+    v16 = catalog.builtin("V16")
+    terms = [line.split(" : ") for line in v16.model.to_text().splitlines()[1:]]
+    (tmp_path / "v16.ansatz").write_text("".join(  # the constant term is searched for
+        f"{e} : o{k} : {'free' if e == '0 0 0' else f'fixed {c}'}\n" for k, (c, e) in enumerate(terms)))
+    vertices = newton_polytope(v16.model).vertices
+    (tmp_path / "v16.vertices").write_text("".join(" ".join(map(str, v)) + "\n" for v in vertices))
+    (tmp_path / "bad.rec").write_text(catalog.dumps(v16._replace(degree=17)))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONWARNINGS="error")
+    run = subprocess.run([sys.executable, "-m", "weaklg.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert (run.stdout, run.stderr, run.returncode) == (out, err, code)
+    assert out
