@@ -199,6 +199,17 @@ def _product(n, factors):
     return LaurentPoly(n, {_unpack_exponents(k, base, n): c for k, c in result.items()})
 
 
+# The most entries a product may hold, counted while multiply_term_maps
+# builds it: a bound on the memory of every expansion.
+MAX_SERIES_TERMS = 1_000_000
+
+# The most work constant_term_levels may do: a power step costs a unit per
+# term pair plus la lb / 26 for coefficients la and lb 64-bit limbs wide, a
+# level sum a unit per pair it reads.  A unit took 151-343 ns in Python 3.11
+# on the runs in README, so a refused run would have taken 8 s or more.
+MAX_WORK = 5 * 10**7
+
+
 def multiply_term_maps(a, b):
     """Multiply two {packed exponent key: coefficient} maps.
 
@@ -206,7 +217,8 @@ def multiply_term_maps(a, b):
     dicts of int keys (see pack_exponents) rather than LaurentPoly wrappers;
     the coefficients are ints, a whole Kronecker row each where _rows
     packs, or Fractions.  Terms that cancel are deleted from the product
-    itself, so no second copy of it is ever built.
+    itself, so no second copy of it is ever built.  A product past
+    MAX_SERIES_TERMS entries is refused with ValueError.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -217,29 +229,37 @@ def multiply_term_maps(a, b):
         for kb, cb in b_items:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
+        if len(out) > MAX_SERIES_TERMS:
+            raise ValueError(f"a product would hold more than {MAX_SERIES_TERMS} terms")
     for k in [k for k, c in out.items() if not c]:
         del out[k]
     return out
 
 
+def _limbs(power):  # 64-bit limbs of the widest coefficient, all ints
+    return max(map(int.bit_length, power.values()), default=0) + 63 >> 6
+
+
 def constant_term_levels(terms, N, split=1):
     """The x^0 parts of f^0..f^N, expanding f only up to ceil(N/2).
 
-    `terms` maps key = xkey * split + ckey to a coefficient: xkey packs the
-    exponent of x, and 0 <= ckey < split packs nonnegative exponents of extra
-    variables whose degrees never carry past split (split = 1: none).  Entry
-    i maps ckey to its coefficient in [x^0] f^i, the sum over xkey of
+    `terms` maps key = xkey * split + ckey to an int coefficient: xkey packs
+    the exponent of x, and 0 <= ckey < split packs nonnegative exponents of
+    extra variables whose degrees never carry past split (split = 1: none).
+    Entry i maps ckey to its coefficient in [x^0] f^i, the sum over xkey of
     [f^a]_xkey [f^b]_-xkey with a = floor(i/2), b = i - a.
 
     Those two are always consecutive powers, so one loop makes f^(a+1) from
     f^a, reads levels 2a+1 and 2a+2 off the pair, and drops f^a: memory
-    holds two powers, not all ceil(N/2) + 1 of them.
+    holds two powers, not all ceil(N/2) + 1 of them.  Past MAX_WORK or
+    MAX_SERIES_TERMS, f^k is refused with ValueError.
     """
     if split == 1:  # every series: grouping by xkey would only add work
         def grouped(power):
             return power
 
         def level(low, high):  # sum_k c_k c_-k counts each pair twice when low is high
+            spend(26 * len(low))
             if low is high:
                 return {0: 2 * sum(c * high[-k] for k, c in low.items() if k > 0 and -k in high)
                         + high.get(0, 0) ** 2}
@@ -253,6 +273,7 @@ def constant_term_levels(terms, N, split=1):
             return rows
 
         def level(low, high):
+            spend(26 * sum(len(row) * len(high.get(-xkey, ())) for xkey, row in low.items()))
             acc = {}
             for xkey, row in low.items():
                 for k1, c1 in row:
@@ -260,11 +281,22 @@ def constant_term_levels(terms, N, split=1):
                         acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
             return acc
 
-    power = {0: 1}
+    def spend(units):  # in 26ths of a unit, so that every count stays an int
+        nonlocal work
+        work += units
+        if work > 26 * MAX_WORK:
+            raise ValueError(f"f^{k}: the expansion would pass {MAX_WORK} units of work")
+
+    power, work, k, f_limbs = {0: 1}, 0, 0, _limbs(terms)
     low = grouped(power)
     levels = [level(low, low)]
     while len(levels) <= N:
-        power = multiply_term_maps(power, terms)
+        k += 1
+        spend(len(power) * len(terms) * (26 + _limbs(power) * f_limbs))
+        try:
+            power = multiply_term_maps(power, terms)
+        except ValueError as err:
+            raise ValueError(f"f^{k}: {err}") from None
         high = grouped(power)
         levels.append(level(low, high))
         if len(levels) <= N:
@@ -448,19 +480,8 @@ class PowerSeries(tuple):
         return cls(entries[i] for i in range(gap))
 
 
-# The most terms f^K, K = ceil(N/2), may have at a depth N that
-# constant_term_series or the search's level expansion takes: a bound on
-# their time and memory, checked before the first power.  The series'
-# estimate is the lesser of two upper bounds: the lattice points of K times
-# the narrowed exponent box, the product of K width + 1 over the rows of
-# _narrowed, and the multisets of K of the T terms of f, C(T + K - 1, K); so
-# f and its unimodular images get the same answer.  In Python 3.11, V16 at N=80 (5.3e5, the box) takes 19-25 s and
-# 123 MiB, and x + y + z + 1/(xyz) at N=300 (5.9e5, the multisets) 34 s and
-# 182 MiB, so a refused series would have run for about a minute or more.
-MAX_SERIES_TERMS = 1_000_000
-
 # The highest order constant_term_series and dseries.solve_series take: a
-# bound on time where the size of f^K gives none (a one-term or
+# bound on time where the work bound comes late or never (a one-term or
 # one-dimensional f) and the solve's coefficients grow in bits with the
 # order.  In Python 3.11, x + 1/x takes 2.45 s at N=4000 and V22's stored
 # operator 46 s, so a refused run would have taken a minute or more.
@@ -473,25 +494,23 @@ def constant_term_series(f, N):
     On the rows of _rows, level i is one integer whose slot i h is
     D^i phi(i).  Every slot below it lies in (-2^(W-1), 2^(W-1)), so adding
     half of 2^(W i h) before the shift takes their borrow back; one-slot
-    rows (W = h = 0) hold D^i phi(i) whole.  A depth whose f^ceil(N/2) may
-    have more than MAX_SERIES_TERMS terms is refused with ValueError, and
-    then an order over MAX_SERIES_ORDER.
+    rows (W = h = 0) hold D^i phi(i) whole.  An order over MAX_SERIES_ORDER
+    is refused with ValueError before any work, and an expansion past the
+    bounds of constant_term_levels when it reaches them.
     """
     if not isinstance(f, LaurentPoly):
         raise TypeError("constant_term_series expects a LaurentPoly")
     if N < 0:
         raise ValueError("series order must be nonnegative")
-    cols, K = _narrowed(f._terms), (N + 1) // 2
-    estimate = min(math.prod(K * _width(col) + 1 for col in cols),
-                   math.comb(max(len(f), 1) + K - 1, K))  # f = 0 counts as one term
-    if estimate > MAX_SERIES_TERMS:
-        raise ValueError(f"series order {clip(N)}: f^{clip(K)} may have up to {clip(estimate)}"
-                         f" terms, over {MAX_SERIES_TERMS}")
     if N > MAX_SERIES_ORDER:
         raise ValueError(f"series order {clip(N)} is over {MAX_SERIES_ORDER}, the most a series takes")
-    rows, width, h, scale = _rows(f._terms, N, cols)
+    rows, width, h, scale = _rows(f._terms, N)
+    try:
+        levels = constant_term_levels(rows, N)
+    except ValueError as err:
+        raise ValueError(f"series order {clip(N)}: {err}") from None
     out = []
-    for i, level in enumerate(constant_term_levels(rows, N)):
+    for i, level in enumerate(levels):
         slot = level[0]
         if width:
             shift = width * i * h
@@ -532,16 +551,15 @@ def _narrowed(points):
 _ROW_BITS = 1 << 14
 
 
-def _rows(terms, N, cols):
+def _rows(terms, N):
     """f as rows of integers for phi(0..N): (rows, W, h, D), with g = D f integral.
 
-    `cols` are the narrowed rows of `terms` (see _narrowed), and both layouts
-    key the terms by the balanced packing of their exponents in that basis,
-    which leaves phi unchanged.  D is the lcm of the denominators of f.
-    Where packing pays, the axis whose rows of supp(f f) are fullest is
-    packed: the row of g at the other exponents m is the integer sum
-    c 2^(W (e - min e)) over its terms c x^(m, e), so one int product
-    multiplies two rows (Kronecker substitution), and h = -min e.
+    Both layouts key the terms by the balanced packing of their exponents in
+    the basis of _narrowed, which leaves phi unchanged; D is the lcm of the
+    denominators of f.  Where packing pays, the axis whose rows of supp(f f)
+    are fullest is packed: the row of g at the other exponents m is the
+    integer sum c 2^(W (e - min e)) over its terms c x^(m, e), so one int
+    product multiplies two rows (Kronecker substitution), and h = -min e.
     W = bits(S^N) + 1 for S = sum |c|: every coefficient of g^i, i <= N,
     fits in W signed bits, so the sum over m of [g^a]_m [g^b]_-m holds
     D^i phi(i) whole in slot i h.  Otherwise each term c x^e of g is a row
@@ -549,18 +567,19 @@ def _rows(terms, N, cols):
 
     Packing pays where supp(f f) fills at least half of its rows times its
     span, f has more than one row, and the rows of f^ceil(N/2) stay within
-    2^14 bits.  Outside that, measured against one-slot rows: x + 1/x (one row) was 1.35 times slower at N=50,
-    and (1 + x + y)(1 + 1/x + 1/y) 2.2 times at N=80 (20655-bit rows), where
-    each level's whole-row products cost more than the power steps save.
-    Since bits(S^N) > N (bits(S) - 1), a depth past that bound is refused
-    at once, and S^N is never built there.
+    2^14 bits.  Outside that, measured against one-slot rows: x + 1/x (one
+    row) was 1.35 times slower at N=50, and (1 + x + y)(1 + 1/x + 1/y) 2.2
+    times at N=80 (20655-bit rows), where each level's whole-row products
+    cost more than the power steps save.  Since bits(S^N) > N (bits(S) - 1),
+    a depth past that bound is refused at once, and S^N is never built
+    there; nor are the T^2 sums of supp(f f) past sqrt(MAX_SERIES_TERMS).
     """
-    scale = math.lcm(*(c.denominator for c in terms.values()))
+    cols, scale = _narrowed(terms), math.lcm(*(c.denominator for c in terms.values()))
     coeffs = [int(c * scale) for c in terms.values()]
     S, K = sum(map(abs, coeffs)), (N + 1) // 2
     base = 2 * max((max(map(abs, col)) for col in cols), default=0) * max(K, 2) + 1
     keys = [pack_exponents(p, base) for p in zip(*cols)]
-    if len(terms) > 1 and N * (S.bit_length() - 1) < _ROW_BITS:
+    if 1 < len(terms) <= math.isqrt(MAX_SERIES_TERMS) and N * (S.bit_length() - 1) < _ROW_BITS:
         rests = [{k - e * base**axis for k, e in zip(keys, col)} for axis, col in enumerate(cols)]
         # per axis: rows of supp(f f) times its span
         sizes = [len({a + b for a in rest for b in rest}) * (2 * _width(col) + 1)
@@ -578,7 +597,7 @@ def _rows(terms, N, cols):
 
 
 def constant_term_series_mitm(f, N):
-    """The same series; kept as a name of its own for `series --mitm` and callers."""
+    """The same series under a name of its own, which perfbench/spans.py times by name."""
     return constant_term_series(f, N)
 
 

@@ -28,7 +28,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import (
-    MAX_SERIES_TERMS,
     LaurentPoly,
     ParseError,
     PointDims,
@@ -132,8 +131,7 @@ class SupportAnsatz(namedtuple("SupportAnsatz", "dimension orbits")):
         specs = tuple(sorted(orbits, key=lambda s: s.points[0]))
         if not specs:
             raise ValueError("an ansatz needs at least one orbit")
-        seen_points = set()
-        seen_labels = set()
+        seen_points, seen_labels = set(), set()
         for spec in specs:
             if spec.label in seen_labels:
                 raise ValueError(f"duplicate orbit label {spec.label!r}")
@@ -258,9 +256,7 @@ def orbits(points, generators):
     return tuple(result)
 
 
-class SearchConfig(namedtuple(
-    "SearchConfig", "target primes height depth verify_depth"
-)):
+class SearchConfig(namedtuple("SearchConfig", "target primes height depth verify_depth")):
     """Target prefix (a PowerSeries) plus the knobs of the modular search.
 
     `depth` is the modular matching depth (constraints phi(r) = a_r for
@@ -295,9 +291,7 @@ class SearchConfig(namedtuple(
         return super().__new__(cls, target, primes, height, depth, verify_depth)
 
 
-PrimeStats = namedtuple(
-    "PrimeStats", "prime enumerated survivors_per_level survivor_count"
-)
+PrimeStats = namedtuple("PrimeStats", "prime enumerated survivors_per_level survivor_count")
 
 
 class SearchStats(namedtuple(
@@ -347,29 +341,23 @@ def _level_polynomials(ansatz, depth):
     holds that orbit's variable, fixed orbits included, and orbits that never
     matter within `depth` are absent.  `levels` substitutes the fixed values:
     entry r - 1 maps exponent tuples (one exponent per non-fixed orbit, in
-    ansatz order) to nonzero int or Fraction coefficients.
-
-    Each term of f^K, K = ceil(depth/2), is an exponent and an orbit monomial
-    from a multiset of K of the T support points, so a depth whose
-    C(T + K - 1, K) passes MAX_SERIES_TERMS is refused with ValueError
-    before the expansion.
+    ansatz order) to nonzero int or Fraction coefficients.  An expansion
+    past the bounds of constant_term_levels raises ValueError naming the depth.
     """
-    support, K = ansatz.support(), (depth + 1) // 2
-    count = math.comb(len(support) + K - 1, K)
-    if count > MAX_SERIES_TERMS:
-        raise ValueError(f"search depth {clip(depth)}: f^{clip(K)} may have up to {clip(count)}"
-                         f" terms, over {MAX_SERIES_TERMS}")
-    digit = depth + 1
-    specs = ansatz.orbits
+    digit, specs = depth + 1, ansatz.orbits
     split = digit ** len(specs)
-    base = 2 * max(abs(x) for p in support for x in p) * K + 1
+    base = 2 * max(abs(x) for p in ansatz.support() for x in p) * (digit // 2) + 1
     terms = {
         pack_exponents(point, base) * split + digit**j: 1
         for j, spec in enumerate(specs) for point in spec.points
     }
     fixed = [spec.domain.values[0] if spec.domain.kind == "fixed" else None for spec in specs]
+    try:
+        expansion = constant_term_levels(terms, depth, split)
+    except ValueError as err:
+        raise ValueError(f"search depth {clip(depth)}: {err}") from None
     levels, first = [], {}
-    for r, level in enumerate(constant_term_levels(terms, depth, split)[1:], 1):
+    for r, level in enumerate(expansion[1:], 1):
         poly = {}
         for key, coeff in level.items():
             exps = []
@@ -470,9 +458,7 @@ def search_mod_p(ansatz, config):
             for terms in level_terms
         ]
 
-        partials = [()]
-        enumerated = 0
-        per_level = []
+        partials, enumerated, per_level = [()], 0, []
         # level depth + 1 only assigns the orbits that never influence the prefix
         for r, specs in enumerate(entering, 1):
             for spec in specs:
@@ -512,9 +498,7 @@ def _crt(residues, primes):
     """Residue and modulus of the combined congruence system."""
     value, modulus = residues[0] % primes[0], primes[0]
     for r, p in zip(residues[1:], primes[1:]):
-        inv = pow(modulus, -1, p)
-        t = ((r - value) * inv) % p
-        value += modulus * t
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
         modulus *= p
     return value % modulus, modulus
 
@@ -567,10 +551,7 @@ def lift_and_verify(stage):
         (target[r], _sparse_terms(poly, range(len(undetermined))))
         for r, poly in enumerate(stage.levels, 1)
     ]
-    matches = {}
-    combinations = 0
-    lifts_tried = 0
-    range_blocked = 0
+    matches, combinations, lifts_tried, range_blocked = {}, 0, 0, 0
     for combo in itertools.product(*survivors.values()):
         combinations += 1
         option_lists = []

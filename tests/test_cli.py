@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaklg import catalog
+from weaklg import catalog, laurent
 from weaklg.cli import main
 from weaklg.dseries import DOperator, solve_series
 from weaklg.laurent import LaurentPoly, ParseError, PowerSeries, constant_term_series
@@ -314,19 +314,23 @@ def test_a_huge_field_gives_a_bounded_error_line(tmp_path, capsys):
     assert len(err) == 92
 
 
-def test_deep_series_exit_2_before_the_first_power(tmp_path, capsys):
+def test_deep_series_exit_2_at_the_work_or_the_order_bound(tmp_path, capsys, monkeypatch):
+    """N=1000 runs until the work bound, lowered here so that it ends at once."""
+    monkeypatch.setattr(laurent, "MAX_WORK", 10**5)
     poly = tmp_path / "sparse.poly"
     poly.write_text("1 : 1 0 0\n1 : 0 1 0\n1 : 0 0 1\n1 : -1 -1 -1\n")
-    for N in ("1000", "100000"):
+    for N, message in (
+        ("1000", "series order 1000: f^24: the expansion would pass 100000 units of work"),
+        ("100000", "series order 100000 is over 4000, the most a series takes"),
+    ):
         start = time.perf_counter()
         assert main(["series", "-f", str(poly), "-N", N]) == 2
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: series order {N}: ") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_series_past_the_order_bound_exit_2_at_once(tmp_path, capsys):
-    """f^K of these stays within MAX_SERIES_TERMS, so only the order bound stops them."""
+    """These do little or no work at any depth; the order bound stops them before any."""
     for name, text, N in (
         ("zero", "# dim 3\n", "1000000000000"),
         ("constant", "2 : 0 0 0\n", "1000000000000"),
@@ -341,20 +345,35 @@ def test_series_past_the_order_bound_exit_2_at_once(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: series order {N} is over 4000, the most a series takes\n")
 
 
-def test_deep_search_exits_2_before_the_level_expansion(tmp_path, capsys):
-    """The all-free S3-orbit V18 ansatz has 16 points: C(30, 15) multisets at depth 30."""
+def _v18_free_ansatz(tmp_path):
+    """The all-free S3-orbit V18 ansatz: 16 points in 5 orbits."""
     support = catalog.builtin("V18").model.support()
     labels = {orbit: k for k, orbit in enumerate(sorted({tuple(sorted(p)) for p in support}))}
     ansatz = tmp_path / "v18-free.ansatz"
     ansatz.write_text("".join(f"{' '.join(map(str, p))} : o{labels[tuple(sorted(p))]} : free\n"
                               for p in support))
+    return str(ansatz)
+
+
+def test_deep_search_exits_2_at_the_work_bound(tmp_path, capsys, monkeypatch):
+    """Depth 30 runs until the work bound, lowered here so that it ends at once."""
+    monkeypatch.setattr(laurent, "MAX_WORK", 10**6)
     start = time.perf_counter()
-    assert main(["search", "-a", str(ansatz), "--catalog", "V18", "--prime", "7",
+    assert main(["search", "-a", _v18_free_ansatz(tmp_path), "--catalog", "V18", "--prime", "7",
                  "--depth", "30", "--verify-depth", "30"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == (
-        "", "error: search depth 30: f^15 may have up to 155117520 terms, over 1000000\n"
+        "", "error: search depth 30: f^7: the expansion would pass 1000000 units of work\n"
     )
+
+
+def test_all_free_v18_search_at_depth_17_finds_its_two_matches(tmp_path, capsys):
+    """f^9 has 73708 terms, far fewer than its 1307504 multisets of points, C(24, 9)."""
+    assert main(["search", "-a", _v18_free_ansatz(tmp_path), "--catalog", "V18", "--prime", "7",
+                 "--depth", "17", "--verify-depth", "17"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("matches: 2\n") and out.endswith("exact-matches: 2\n")
+    assert out.count("# dim 3\n") == 2
 
 
 def test_operator_header_counts_past_the_int_to_str_limit(tmp_path, capsys):

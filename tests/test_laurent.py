@@ -386,8 +386,8 @@ def test_series_edge_cases_against_bruteforce():
 
 
 def _rows(f, N):
-    """laurent._rows on the narrowed rows of f, as constant_term_series calls it."""
-    return laurent._rows(f._terms, N, laurent._narrowed(f._terms))
+    """laurent._rows on the terms of f, as constant_term_series calls it."""
+    return laurent._rows(f._terms, N)
 
 
 def _one_slot_rows(monkeypatch):
@@ -456,37 +456,65 @@ def test_huge_depths_take_one_slot_rows_without_building_s_to_the_n():
         assert (len(rows), width, h, scale) == (len(f), 0, 0, 1)
 
 
-def test_deep_series_are_refused_alike_for_f_and_its_images():
-    """f^K has exactly C(K + 3, 3) terms, under the narrowed box (2K + 1)^3, whatever the map."""
-    sparse = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1})
+def _refusals(fs, N):
+    """The messages with which constant_term_series refuses each f at order N."""
+    messages = set()
+    for f in fs:
+        with pytest.raises(ValueError) as info:
+            constant_term_series(f, N)
+        messages.add(str(info.value))
+    return messages
+
+
+def test_deep_series_are_refused_alike_for_f_and_its_images(monkeypatch):
+    """On one-slot rows f^k has as many terms for f as for any image, so the work is the same.
+
+    The work bound is lowered so that the refusal comes at once.
+    """
+    monkeypatch.setattr(laurent, "MAX_WORK", 10**5)
     rng = random.Random(1000)
-    for f in [sparse] + [substitute_monomial(sparse, random_unimodular(rng)) for _ in range(5)]:
-        for N, estimate in ((1000, math.comb(503, 3)), (100000, math.comb(50003, 3))):
-            with pytest.raises(ValueError) as info:
-                constant_term_series(f, N)
-            assert str(info.value) == (f"series order {N}: f^{(N + 1) // 2} may have up to"
-                                       f" {estimate} terms, over {laurent.MAX_SERIES_TERMS}")
+    for f, N, k in ((LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1}), 2824, 48),
+                    (LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+                                     (-1, -1, -1): 1}), 1000, 24)):
+        images = [substitute_monomial(f, random_unimodular(rng, f.dimension)) for _ in range(5)]
+        assert all(_rows(g, N)[1] == 0 for g in images)
+        assert _refusals([f, f] + images, N) == {
+            f"series order {N}: f^{k}: the expansion would pass 100000 units of work"}
+    assert _refusals([f], 100000) == {"series order 100000 is over 4000, the most a series takes"}
 
 
-def test_catalog_models_at_depth_80_stay_under_the_series_bound(monkeypatch):
-    """Each estimate is 81^3, checked against a bound one below it; the expansion is stubbed."""
-    class Expanded(Exception):
-        pass
-
-    def expand(rows, N):
-        raise Expanded
-
-    monkeypatch.setattr(laurent, "constant_term_levels", expand)
+def test_catalog_models_at_depth_80_are_refused_alike_for_f_and_its_images(monkeypatch):
+    """V16 at N=80 would run past MAX_WORK (17-20 s unbounded); with the bound
+    lowered to 10^6 each model and its image stop at the same power."""
+    monkeypatch.setattr(laurent, "MAX_WORK", 10**6)
     rng = random.Random(80)
-    for name in ("V16", "V18", "V22"):
+    for name, k in (("V16", 14), ("V18", 15), ("V22", 16)):
         f = catalog.builtin(name).model
-        for g in (f, substitute_monomial(f, random_unimodular(rng))):
-            with pytest.raises(Expanded):
-                constant_term_series(g, 80)
-            with monkeypatch.context() as m:
-                m.setattr(laurent, "MAX_SERIES_TERMS", 81**3 - 1)
-                with pytest.raises(ValueError, match=f"may have up to {81**3} terms"):
-                    constant_term_series(g, 80)
+        assert _refusals([f, substitute_monomial(f, random_unimodular(rng))], 80) == {
+            f"series order 80: f^{k}: the expansion would pass 1000000 units of work"}
+
+
+def test_a_product_past_the_term_bound_is_refused_within_it(monkeypatch):
+    """f^2 of 2999 terms in [-3, 3]^8 could hold 4.5 million; counted as it is
+    built, it is refused near MAX_SERIES_TERMS plus the larger operand."""
+    monkeypatch.setattr(laurent, "MAX_SERIES_TERMS", 20_000)
+    rng = random.Random(8)
+    terms = {}
+    while len(terms) < 2999:
+        terms[tuple(rng.randint(-3, 3) for _ in range(8))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    f = LaurentPoly(8, terms)
+    for run, prefix in ((lambda: constant_term_series(f, 3), "series order 3: f^2: "),
+                        (lambda: f * f, "")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == prefix + "a product would hold more than 20000 terms"
+        # 23,000 entries take a few MiB; f^2 would need at least 4.5 million entries of 56 bytes
+        assert peak < 500 * laurent.MAX_SERIES_TERMS, peak
 
 
 def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import phi_bruteforce
+from corpus import phi_bruteforce, random_unimodular
+from weaklg import catalog
 from weaklg.laurent import (
     LaurentPoly, ParseError, PowerSeries, constant_term_series, substitute_monomial,
 )
@@ -322,15 +323,35 @@ def test_search_mod_p_holds_partial_assignments_up_to_the_bound(monkeypatch):
         search_mod_p(ansatz, config)
 
 
-def test_search_mod_p_refuses_a_depth_whose_multisets_pass_the_series_bound(monkeypatch):
-    """f^K has at most C(T + K - 1, K) terms for T support points: K + 1 here."""
+def test_search_mod_p_refuses_a_depth_whose_power_passes_the_term_bound(monkeypatch):
+    """f^K of a x + b/x has K + 1 terms, counted as the expansion builds it."""
     target = target_for(planted_1d(3))
     ansatz = ansatz_1d(CoefficientDomain.free())
-    monkeypatch.setattr("weaklg.search.MAX_SERIES_TERMS", 4)
+    monkeypatch.setattr("weaklg.laurent.MAX_SERIES_TERMS", 4)
     config = SearchConfig(target=target, primes=(5,), depth=6, verify_depth=8)
     assert search_mod_p(ansatz, config).survivors == {5: ((3,),)}
-    with pytest.raises(ValueError, match=r"^search depth 7: f\^4 may have up to 5 terms, over 4$"):
+    with pytest.raises(ValueError, match=r"^search depth 7: f\^4: a product would hold more"
+                                         r" than 4 terms$"):
         search_mod_p(ansatz, config._replace(depth=7))
+
+
+def test_deep_search_is_refused_alike_for_a_support_and_its_image(monkeypatch):
+    """f^k of the all-free V18 ansatz has as many terms, in as many rows, after a
+    unimodular map of its points, so the work bound stops both at the same power."""
+    monkeypatch.setattr("weaklg.laurent.MAX_WORK", 10**6)
+    support = catalog.builtin("V18").model.support()
+    labels = sorted({tuple(sorted(p)) for p in support})
+    U = random_unimodular(random.Random(30))
+    messages = set()
+    for move in (lambda p: p, lambda p: tuple(sum(u * x for u, x in zip(row, p)) for row in U)):
+        ansatz = SupportAnsatz(3, [
+            OrbitSpec(f"o{k}", tuple(move(p) for p in support if tuple(sorted(p)) == label),
+                      CoefficientDomain.free())
+            for k, label in enumerate(labels)])
+        with pytest.raises(ValueError) as info:
+            _level_polynomials(ansatz, 30)
+        messages.add(str(info.value))
+    assert messages == {"search depth 30: f^7: the expansion would pass 1000000 units of work"}
 
 
 def test_search_mod_p_expands_the_level_polynomials_once(monkeypatch):
