@@ -19,7 +19,7 @@ from .laurent import (
     constant_term_series_mitm,
 )
 from .polytope import invariant_report, newton_polytope, polytope_from_text
-from .search import HeightBoundExceeded, SearchConfig, SearchResult, SupportAnsatz, search
+from .search import SearchConfig, SupportAnsatz, search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,17 +188,15 @@ def _cmd_search(args):
     )
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
-    try:
-        result, empty = search(ansatz, config), "no candidates found"
-    except HeightBoundExceeded as exc:
-        result, empty = SearchResult((), exc.stats), f"search stopped: {exc}"
+    result = search(ansatz, config)
     sys.stdout.write(f"matches: {len(result.matches)}\n")
     for match in result.matches:
         sys.stdout.write("\n")
         sys.stdout.write(match.to_text())
     sys.stdout.write(result.stats.to_document())
     if not result.matches:
-        print(empty, file=sys.stderr)
+        print(f"search stopped: {result.stopped}" if result.stopped else "no candidates found",
+              file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
 

@@ -321,7 +321,7 @@ def verify_weak_lg(f, op, N=20):
     try:
         newton = polytope.newton_polytope(f)
         interior = all(c > 0 for _, c in newton.facets)
-    except (polytope.NotFullDimensional, ValueError):
+    except ValueError:  # NotFullDimensional included
         interior = False
     verdict = f"very-weak-confirmed-to-{N}" if first is None else "mismatch"
     determination = (op.order + 1) * (op.t_degree + 1) + op.t_degree

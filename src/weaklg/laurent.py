@@ -189,24 +189,31 @@ def _unpack_exponents(key, base, n):
 
 
 def _product(n, factors):
-    """The product of LaurentPolys in n variables, multiplied on packed keys."""
+    """The product of LaurentPolys in n variables, multiplied on packed keys as
+    integral D g for each factor g; a step past MAX_WORK raises ValueError."""
     base = 2 * sum(max((abs(x) for e in g._terms for x in e), default=0)
                    for g in factors) + 1
-    result = {0: 1}
+    result, work, scale = {0: 1}, 0, 1
     for g in factors:
-        packed = {pack_exponents(e, base): c for e, c in g._terms.items()}
-        result = multiply_term_maps(result, packed)
-    return LaurentPoly(n, {_unpack_exponents(k, base, n): c for k, c in result.items()})
+        D = math.lcm(*(c.denominator for c in g._terms.values()))
+        packed = {pack_exponents(e, base): int(c * D) for e, c in g._terms.items()}
+        work += _step_work(result, packed)
+        if work > 26 * MAX_WORK:
+            raise ValueError(f"a product would pass {MAX_WORK} units of work")
+        result, scale = multiply_term_maps(result, packed), scale * D
+    return LaurentPoly(n, {_unpack_exponents(k, base, n): Fraction(c, scale) if scale > 1 else c
+                           for k, c in result.items()})
 
 
 # The most entries a product may hold, counted while multiply_term_maps
 # builds it: a bound on the memory of every expansion.
 MAX_SERIES_TERMS = 1_000_000
 
-# The most work constant_term_levels may do: a power step costs a unit per
-# term pair plus la lb / 26 for coefficients la and lb 64-bit limbs wide, a
-# level sum a unit per pair it reads.  A unit took 151-343 ns in Python 3.11
-# on the runs in README, so a refused run would have taken 8 s or more.
+# The most work constant_term_levels or a LaurentPoly product may do: a
+# product step costs a unit per term pair plus la lb / 26 for coefficients
+# la and lb 64-bit limbs wide, a level sum a unit per pair it reads.  A unit
+# took 151-343 ns in Python 3.11 on the runs in README, so a refused run
+# would have taken 8 s or more.
 MAX_WORK = 5 * 10**7
 
 
@@ -216,9 +223,9 @@ def multiply_term_maps(a, b):
     This is the inner loop of every power computation, so it works on raw
     dicts of int keys (see pack_exponents) rather than LaurentPoly wrappers;
     the coefficients are ints, a whole Kronecker row each where _rows
-    packs, or Fractions.  Terms that cancel are deleted from the product
-    itself, so no second copy of it is ever built.  A product past
-    MAX_SERIES_TERMS entries is refused with ValueError.
+    packs.  Terms that cancel are deleted from the product itself, so no
+    second copy of it is ever built.  A product past MAX_SERIES_TERMS
+    entries is refused with ValueError.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -236,8 +243,9 @@ def multiply_term_maps(a, b):
     return out
 
 
-def _limbs(power):  # 64-bit limbs of the widest coefficient, all ints
-    return max(map(int.bit_length, power.values()), default=0) + 63 >> 6
+def _step_work(a, b):  # of multiply_term_maps(a, b) on int coefficients, in 26ths of a unit
+    la, lb = (max(map(int.bit_length, m.values()), default=0) + 63 >> 6 for m in (a, b))
+    return len(a) * len(b) * (26 + la * lb)  # la, lb: 64-bit limbs of the widest
 
 
 def constant_term_levels(terms, N, split=1):
@@ -287,12 +295,12 @@ def constant_term_levels(terms, N, split=1):
         if work > 26 * MAX_WORK:
             raise ValueError(f"f^{k}: the expansion would pass {MAX_WORK} units of work")
 
-    power, work, k, f_limbs = {0: 1}, 0, 0, _limbs(terms)
+    power, work, k = {0: 1}, 0, 0
     low = grouped(power)
     levels = [level(low, low)]
     while len(levels) <= N:
         k += 1
-        spend(len(power) * len(terms) * (26 + _limbs(power) * f_limbs))
+        spend(_step_work(power, terms))
         try:
             power = multiply_term_maps(power, terms)
         except ValueError as err:

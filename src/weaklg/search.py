@@ -45,17 +45,6 @@ from .laurent import (
 from .linalg import is_prime
 
 
-class HeightBoundExceeded(RuntimeError):
-    """Residue assignments survived, but no integer lift fits the height bound.
-
-    `stats` carries the SearchStats of the stopped search.
-    """
-
-    def __init__(self, message, stats):
-        super().__init__(message)
-        self.stats = stats
-
-
 class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
     """What one orbit coefficient may be: free over Z, fixed, or a finite choice."""
 
@@ -314,7 +303,9 @@ class SearchStats(namedtuple(
         return "\n".join(lines) + "\n"
 
 
-SearchResult = namedtuple("SearchResult", "matches stats")
+# `stopped` says why a search found nothing when residue combinations
+# survived but the height window admits no lift of any; otherwise None.
+SearchResult = namedtuple("SearchResult", "matches stats stopped", defaults=(None,))
 
 # What search_mod_p hands to lift_and_verify: `levels` holds phi(1..depth) as
 # _level_polynomials gives them, `survivors` maps each prime, in search
@@ -524,26 +515,25 @@ def lift_and_verify(stage):
     into a polynomial and accepted only when its exact constant-term series
     matches the target through config.verify_depth.  Returns the
     SearchResult, whose stats always carry the per-prime pruning profile,
-    even when nothing survives.
-    Raises HeightBoundExceeded, carrying those stats, when residue
-    combinations survive but not a single one admits an in-range lift, and
-    ValueError, before any lift, when the combinations could need more than
-    MAX_LIFTS lifts.
+    even when nothing survives, and whose `stopped` says why the search is
+    empty when residue combinations survive but a height window blocks every
+    lift.  Raises ValueError, before any lift, when the combinations could
+    need more than MAX_LIFTS lifts.
     """
     ansatz, config, survivors = stage.ansatz, stage.config, stage.survivors
     primes = tuple(survivors)
     undetermined = _undetermined(ansatz)
     surviving = math.prod(map(len, survivors.values()))
     window = -(-(2 * config.height + 1) // math.prod(primes))
+    moduli, into = "x".join(map(str, primes)), f"[-{clip(config.height)}, {clip(config.height)}]"
     most = surviving * math.prod(
         len(spec.domain.values) if spec.domain.kind == "choice" else window
         for _, spec in undetermined
     )
     if most > MAX_LIFTS:
         raise ValueError(
-            f"{surviving} residue combinations modulo {'x'.join(str(p) for p in primes)}"
-            f" could need {clip(most)} lifts into [-{clip(config.height)}, {clip(config.height)}],"
-            f" more than the {MAX_LIFTS} a search may try"
+            f"{surviving} residue combinations modulo {moduli} could need {clip(most)} lifts"
+            f" into {into}, more than the {MAX_LIFTS} a search may try"
         )
     target = config.target
     prefix = target.truncate(config.verify_depth)
@@ -574,15 +564,15 @@ def lift_and_verify(stage):
                 candidate = _assemble(ansatz, undetermined, values)
                 if constant_term_series(candidate, config.verify_depth) == prefix:
                     matches.setdefault(candidate.to_text(), candidate)
-    stats = SearchStats(stage.prime_stats, combinations, lifts_tried, len(matches))
-    if not matches and lifts_tried == 0 and range_blocked > 0:
-        raise HeightBoundExceeded(
-            f"{combinations} residue combinations survived modulo"
-            f" {'x'.join(str(p) for p in primes)} but none lifts into"
-            f" [-{config.height}, {config.height}]",
-            stats,
-        )
-    return SearchResult(tuple(matches[key] for key in sorted(matches)), stats)
+    stopped = None
+    if lifts_tried == 0 and range_blocked > 0:
+        stopped = (f"{combinations} residue combinations survived modulo {moduli}"
+                   f" but none lifts into {into}")
+    return SearchResult(
+        tuple(matches[key] for key in sorted(matches)),
+        SearchStats(stage.prime_stats, combinations, lifts_tried, len(matches)),
+        stopped,
+    )
 
 
 def search(ansatz, config):

@@ -191,9 +191,22 @@ def test_search_height_bound_exits_empty_with_stats(tmp_path, capsys):
     ])
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err.startswith("search stopped:")
+    assert captured.err == (
+        "search stopped: 1 residue combinations survived modulo 13 but none lifts into [-5, 5]\n")
     assert "matches: 0" in captured.out
     assert "lifts-tried: 0" in captured.out
+
+
+def test_search_blocked_by_choice_values_is_not_stopped(tmp_path, capsys):
+    """8 and 10 are 3 modulo 5 and 7, so one residue combination survives and
+    none lifts, but no height window blocked it."""
+    _, series, ansatz = _write_search_inputs(tmp_path, 3, domain="choice 8 10")
+    code = main(["search", "-a", str(ansatz), "-s", str(series),
+                 "--prime", "5", "--prime", "7", "--height", "9"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "residue-combinations: 1\nlifts-tried: 0\n" in captured.out
+    assert captured.err == "no candidates found\n"
 
 
 def test_dim_headers_in_input_files(tmp_path, capsys):

@@ -517,6 +517,18 @@ def test_a_product_past_the_term_bound_is_refused_within_it(monkeypatch):
         assert peak < 500 * laurent.MAX_SERIES_TERMS, peak
 
 
+def test_products_and_powers_are_refused_past_the_work_bound(monkeypatch):
+    """x + y + 1/(xy) to the 200th is admitted at MAX_WORK and takes under a
+    second; with the bound lowered, ** and * stop at it, Fractions alike."""
+    f = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+    g = f**60
+    monkeypatch.setattr(laurent, "MAX_WORK", 10**5)
+    for run in (lambda: f**200, lambda: g * g, lambda: g * Fraction(1, 3) * g):
+        with pytest.raises(ValueError, match=r"^a product would pass 100000 units of work$"):
+            run()
+    assert f**20 == multiply_bruteforce(f**10, f**10)
+
+
 def test_series_is_unchanged_by_a_unimodular_map_at_depth_24():
     f = catalog.builtin("V16").model
     want = constant_term_series(f, 24)

@@ -66,6 +66,7 @@ def test_records_construct_by_position_and_keyword():
     stats = SearchStats((PrimeStats(7, 10, ((1, 3),), 3),), 0, 1, 2)
     assert stats.prime_stats[0].survivor_count == 3
     assert SearchResult(matches=(), stats=stats).stats is stats
+    assert SearchResult((), stats).stopped is None
     assert OrbitSpec("a", ((1, 0),), CoefficientDomain.free()) == OrbitSpec(
         domain=CoefficientDomain("free"), points=[(1, 0)], label="a"
     )
@@ -96,7 +97,7 @@ def test_record_reprs_keep_their_form():
     stats = SearchStats((), 0, 1, 2)
     assert repr(SearchResult((), stats)) == (
         "SearchResult(matches=(), stats=SearchStats(prime_stats=(),"
-        " residue_combinations=0, lifts_tried=1, exact_matches=2))"
+        " residue_combinations=0, lifts_tried=1, exact_matches=2), stopped=None)"
     )
     assert repr(PrimeStats(7, 10, ((1, 3),), 3)) == (
         "PrimeStats(prime=7, enumerated=10, survivors_per_level=((1, 3),), survivor_count=3)"

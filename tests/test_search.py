@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -11,10 +12,10 @@ from weaklg import catalog
 from weaklg.laurent import (
     LaurentPoly, ParseError, PowerSeries, constant_term_series, substitute_monomial,
 )
+from weaklg.linalg import _PRIME_BOUND, is_prime
 from weaklg.polytope import convex_hull
 from weaklg.search import (
     CoefficientDomain,
-    HeightBoundExceeded,
     OrbitSpec,
     SearchConfig,
     SupportAnsatz,
@@ -409,13 +410,44 @@ def test_search_empty_when_residues_die_modulo_p():
 def test_search_height_bound_exceeded():
     target = target_for(planted_1d(6))
     config = SearchConfig(target=target, primes=(13,), height=5)
-    with pytest.raises(HeightBoundExceeded) as info:
-        search(ansatz_1d(CoefficientDomain.free()), config)
-    stats = info.value.stats
+    matches, stats, stopped = search(ansatz_1d(CoefficientDomain.free()), config)
+    assert matches == ()
     assert stats.residue_combinations == 1
     assert stats.prime_stats[0].survivor_count == 1
     assert (stats.lifts_tried, stats.exact_matches) == (0, 0)
-    assert "[-5, 5]" in str(info.value)
+    assert stopped == "1 residue combinations survived modulo 13 but none lifts into [-5, 5]"
+
+
+def test_a_choice_blocked_search_is_not_stopped():
+    """8 and 10 are 3 modulo 5 and 7 but not modulo 35: the one residue
+    combination has no lift, yet no height window blocked it."""
+    config = SearchConfig(target=target_for(planted_1d(3)), primes=(5, 7), height=9)
+    result = search(ansatz_1d(CoefficientDomain.choice(8, 10)), config)
+    assert result.matches == ()
+    assert (result.stats.residue_combinations, result.stats.lifts_tried) == (1, 0)
+    assert result.stopped is None
+
+
+def test_the_stop_message_quotes_a_huge_height_clipped():
+    """A height of 4302 digits, past the int-to-str limit, and 184 primes whose
+    product passes 2 height + 1, so the one residue combination, height + 1,
+    has a window of one lift and that lift lies outside [-height, height]."""
+    height, primes = 10**4301, []
+    candidate = _PRIME_BOUND
+    while len(primes) < 184:
+        candidate -= 1
+        if is_prime(candidate):
+            primes.append(candidate)
+    assert math.prod(primes) > 2 * height + 1
+    config = SearchConfig(target=target_for(planted_1d(6)), primes=(13,), height=5)
+    stage = search_mod_p(ansatz_1d(CoefficientDomain.free()), config)
+    stage = stage._replace(config=config._replace(primes=tuple(primes), height=height),
+                           survivors={p: (((height + 1) % p,),) for p in primes})
+    matches, stats, stopped = lift_and_verify(stage)
+    assert (matches, stats.residue_combinations, stats.lifts_tried) == ((), 1, 0)
+    assert stopped.startswith("1 residue combinations survived modulo ")
+    clipped = "1" + "0" * 39 + "... (4302 characters)"
+    assert stopped.endswith(f" but none lifts into [-{clipped}, {clipped}]")
 
 
 def test_exact_verification_rejects_modular_coincidences():
@@ -465,7 +497,7 @@ def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
     stage = search_mod_p(two_free, config)
     assert len(stage.survivors[7]) == 6
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 24)
-    matches, stats = lift_and_verify(stage)
+    matches, stats, _ = lift_and_verify(stage)
     assert f in matches and (stats.residue_combinations, stats.lifts_tried) == (6, 18)
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 23)
     with pytest.raises(ValueError, match=r"^6 residue combinations modulo 7 could need 24 lifts"
@@ -703,7 +735,7 @@ def test_lift_pre_check_only_drops_non_matches():
             itertools.product(*(residue_domain(spec, p) for spec in unknowns(ansatz)))
         )
         stage = search_mod_p(ansatz, config)._replace(survivors={p: residues})
-        matches, stats = lift_and_verify(stage)
+        matches, stats, _ = lift_and_verify(stage)
 
         expected = set()
         for values in all_lifts:
