@@ -625,7 +625,7 @@ def substitute_monomial(f, matrix):
         raise ValueError(f"matrix is not unimodular (det = {d})")
     terms = {}
     for exps, c in f._terms.items():
-        e = tuple(sum(U[i][j] * exps[j] for j in range(n)) for i in range(n))
+        e = tuple(linalg.dot(row, exps) for row in U)
         terms[e] = c
     return LaurentPoly(n, terms)
 

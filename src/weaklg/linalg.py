@@ -49,24 +49,22 @@ def is_prime(n) -> bool:
                for a in _BASES)
 
 
-_PRIMES = []
+def dot(a, x):
+    """Sum of the products of matching entries."""
+    return sum(map(operator.mul, a, x))
 
 
 def _primes():
-    """Primes down from 2^61 - 1; each is tested once and kept in _PRIMES."""
-    i = 0
+    """Primes down from 2^61 - 1, each found by `is_prime` as it is needed."""
+    n = (1 << 61) - 1
     while True:
-        if i == len(_PRIMES):
-            n = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
-            while not is_prime(n):
-                n -= 2
-            _PRIMES.append(n)
-        yield _PRIMES[i]
-        i += 1
+        if is_prime(n):
+            yield n
+        n -= 2
 
 
 def _rref_mod(rows, ncols, p):
-    """(pivot rows of the RREF mod p, pivot columns, source rows).
+    """(pivot rows of the RREF mod p, pivot columns).
 
     Each row is packed into one int, entry j in bits [j w, (j + 1) w) with
     w = 2 bits(p) + bits(#rows) + 1 (Kronecker packing, as in `laurent`).
@@ -85,28 +83,27 @@ def _rref_mod(rows, ncols, p):
     def unpack(v, k):
         return [(v >> w * j & mask) % p for j in range(k)]
 
-    left, pivots, order, tops = [(pack(row), i) for i, row in enumerate(rows)], [], [], []
+    left, pivots, tops = [pack(row) for row in rows], [], []
     for c in range(ncols):
-        k = next((i for i, (v, _) in enumerate(left) if (v & mask) % p), None)
+        k = next((i for i, v in enumerate(left) if (v & mask) % p), None)
         if k is not None:
-            v, source = left[k]
+            v = left[k]
             left[k] = left[0]
             del left[0]
             xs = unpack(v, ncols - c)
             inv = pow(xs[0], -1, p)
             top = pack([x * inv for x in xs])
-            left = [(v + (-(v & mask) % p) * top, i) for v, i in left]
+            left = [v + (-(v & mask) % p) * top for v in left]
             pivots.append(c)
-            order.append(source)
             tops.append(top)
-        left = [(v >> w, i) for v, i in left]
+        left = [v >> w for v in left]
     ech = []
     for i, (c, v) in enumerate(zip(pivots, tops)):
         # Each later echelon row clears its pivot column here, in column order.
         for d, u in zip(pivots[i + 1 :], tops[i + 1 :]):
             v += (-(v >> (d - c) * w & mask) % p) * u << (d - c) * w
         ech.append([0] * c + unpack(v, ncols - c))
-    return ech, pivots, order
+    return ech, pivots
 
 
 def _reconstruct(xs, m):
@@ -136,30 +133,27 @@ def nullspace(rows):
     least one row is required.
 
     Multi-modular, with Wang's (1981) rational reconstruction; cf. Dixon
-    (1982).  A better pivot list mod p (larger rank, then smaller) restarts
-    the Chinese remaindering, a worse one drops the prime; a prime reducing
-    all rows picks rank-many for the next primes until the certificate fails.
-    A w = 0 on every row, w on its free column and earlier pivots, proves the
-    pivots over Q are those mod p and w the reduced-echelon vector; full rank
-    mod p needs no check.  Finitely many primes are unlucky and reconstruction
-    works once the modulus exceeds 2 H^2 (Hadamard bound H): the loop has no cap.
+    (1982).  Every prime reduces every nonzero row.  A better pivot list mod
+    p (larger rank, then smaller) restarts the Chinese remaindering, a worse
+    one drops the prime.  A w = 0 on every row, w on its free column and
+    earlier pivots, proves the pivots over Q are those mod p and w the
+    reduced-echelon vector; full rank mod p needs no check.  Finitely many
+    primes are unlucky and reconstruction works once the modulus exceeds
+    2 H^2 (Hadamard bound H): the loop has no cap.
     """
     rows = [list(r) for r in rows]
     if not rows:
         raise ValueError("nullspace needs at least one row")
     ncols = len(rows[0])
     mat = [r for r in _scaled_integer_rows(rows) if any(r)]
-    best = chosen = None
+    best = None
     for p in _primes():
-        sub = mat if chosen is None else [mat[i] for i in chosen]
-        ech, pivots, used = _rref_mod(sub, ncols, p)
+        ech, pivots = _rref_mod(mat, ncols, p)
         if len(pivots) == ncols:
             return []
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
-        if chosen is None:
-            chosen = used
         if key != best:
             best, modulus = key, 1
             free = [c for c in range(ncols) if c not in pivots]
@@ -171,10 +165,9 @@ def nullspace(rows):
         ws = [_reconstruct(xs, modulus) for xs in acc]
         if None in ws:
             continue
-        if all(sum(map(operator.mul, row, w)) == 0 for w in ws for row in mat):
+        if all(dot(row, w) == 0 for w in ws for row in mat):
             firsts = [next(x for x in w if x) for w in ws]
             return [tuple(Fraction(x, f) for x in w) for w, f in zip(ws, firsts)]
-        chosen = None
 
 
 def echelon(rows):
@@ -216,7 +209,7 @@ def kernel(rows, width):
         x[free] = top[-1][pivots[-1]] if pivots else 1
         # Each echelon row is zero left of its pivot, where x is still zero.
         for row, c in zip(reversed(top), reversed(pivots)):
-            x[c] = -sum(map(operator.mul, row, x)) // row[c]
+            x[c] = -dot(row, x) // row[c]
         basis.append(primitive(x))
     return basis
 

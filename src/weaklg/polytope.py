@@ -13,10 +13,10 @@ every invariant works in any dimension.
 import collections
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from . import linalg
+from .linalg import dot
 from .laurent import (
     ParseError, PointDims, clip, data_lines, format_rational, integer_point, normalize_rational,
 )
@@ -24,10 +24,6 @@ from .laurent import (
 
 class NotFullDimensional(ValueError):
     """The given points span a proper affine subspace."""
-
-
-def _dot(a, x):
-    return sum(map(operator.mul, a, x))
 
 
 class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension vertices facets")):
@@ -63,14 +59,14 @@ class RationalPolytope(collections.namedtuple("RationalPolytope", "dimension ver
     def contains(self, point, strict=False):
         p = tuple(point)
         for a, c in self.facets:
-            s = _dot(a, p)
+            s = dot(a, p)
             if s > c or (strict and s == c):
                 return False
         return True
 
     def facet_vertices(self, facet):
         a, c = facet
-        return tuple(v for v in self.vertices if _dot(a, v) == c)
+        return tuple(v for v in self.vertices if dot(a, v) == c)
 
     def to_text(self):
         return "\n".join(" ".join(str(x) for x in v) for v in self.vertices) + "\n"
@@ -111,8 +107,8 @@ def _boundary(pts):
 
     def cone(verts):
         a = linalg.kernel([[x - b for x, b in zip(p, verts[0])] for p in verts[1:]], n)[0]
-        c = _dot(a, verts[0])
-        if _dot(a, inside) > (n + 1) * c:
+        c = dot(a, verts[0])
+        if dot(a, inside) > (n + 1) * c:
             a, c = tuple(-x for x in a), -c
         return a, c, verts
 
@@ -120,7 +116,7 @@ def _boundary(pts):
     for p in pts:
         seen, kept = [], []
         for face in boundary:
-            (seen if _dot(face[0], p) > face[1] else kept).append(face)
+            (seen if dot(face[0], p) > face[1] else kept).append(face)
         if not seen:
             continue
         # Every simplex lists its points in insertion order, so a ridge that
@@ -149,7 +145,7 @@ def convex_hull(points):
     facet_list = sorted({(a, c) for a, c, _ in _boundary(pts)[0]})
     vertices = []
     for p in pts:
-        incident = [a for a, c in facet_list if _dot(a, p) == c]
+        incident = [a for a, c in facet_list if dot(a, p) == c]
         if linalg.rank(incident) == n:
             vertices.append(p)
     return RationalPolytope(n, vertices, facet_list)

@@ -24,7 +24,7 @@ output.
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .laurent import (
@@ -42,7 +42,7 @@ from .laurent import (
     parse_ints,
     parse_rational,
 )
-from .linalg import is_prime
+from .linalg import dot, is_prime
 
 
 class CoefficientDomain(namedtuple("CoefficientDomain", "kind values")):
@@ -197,10 +197,6 @@ def _parse_domain(text, lineno):
     raise ParseError(f"unknown domain kind {clip(parts[0])!r}", lineno)
 
 
-def _apply_matrix(matrix, point):
-    return tuple(sum(row[j] * point[j] for j in range(len(point))) for row in matrix)
-
-
 def orbits(points, generators):
     """Partition points into orbits under the group the generators produce.
 
@@ -222,7 +218,7 @@ def orbits(points, generators):
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError(f"generator must be a {n}x{n} integer matrix")
         for p in pts:
-            q = _apply_matrix(mat, p)
+            q = tuple(dot(row, p) for row in mat)
             if q not in pset:
                 raise ValueError(f"generator does not preserve the support: {p} -> {q}")
         mats.append(mat)
@@ -236,7 +232,7 @@ def orbits(points, generators):
         while frontier:
             q = frontier.pop()
             for mat in mats:
-                r = _apply_matrix(mat, q)
+                r = tuple(dot(row, q) for row in mat)
                 if r not in orbit:
                     orbit.add(r)
                     frontier.append(r)
@@ -524,10 +520,12 @@ def lift_and_verify(stage):
     primes = tuple(survivors)
     undetermined = _undetermined(ansatz)
     surviving = math.prod(map(len, survivors.values()))
-    window = -(-(2 * config.height + 1) // math.prod(primes))
-    moduli, into = "x".join(map(str, primes)), f"[-{clip(config.height)}, {clip(config.height)}]"
+    M = math.prod(primes)
+    window = -(-(2 * config.height + 1) // M)
+    moduli, into = clip("x".join(map(str, primes))), f"[-{clip(config.height)}, {clip(config.height)}]"
     most = surviving * math.prod(
-        len(spec.domain.values) if spec.domain.kind == "choice" else window
+        max(Counter(v % M for v in spec.domain.values).values())
+        if spec.domain.kind == "choice" else window
         for _, spec in undetermined
     )
     if most > MAX_LIFTS:

@@ -431,7 +431,8 @@ def test_a_choice_blocked_search_is_not_stopped():
 def test_the_stop_message_quotes_a_huge_height_clipped():
     """A height of 4302 digits, past the int-to-str limit, and 184 primes whose
     product passes 2 height + 1, so the one residue combination, height + 1,
-    has a window of one lift and that lift lies outside [-height, height]."""
+    has a window of one lift and that lift lies outside [-height, height].
+    The height and the 4599 characters of moduli are both quoted clipped."""
     height, primes = 10**4301, []
     candidate = _PRIME_BOUND
     while len(primes) < 184:
@@ -445,9 +446,11 @@ def test_the_stop_message_quotes_a_huge_height_clipped():
                            survivors={p: (((height + 1) % p,),) for p in primes})
     matches, stats, stopped = lift_and_verify(stage)
     assert (matches, stats.residue_combinations, stats.lifts_tried) == ((), 1, 0)
-    assert stopped.startswith("1 residue combinations survived modulo ")
     clipped = "1" + "0" * 39 + "... (4302 characters)"
-    assert stopped.endswith(f" but none lifts into [-{clipped}, {clipped}]")
+    moduli = "318665857834031151167441x318665857834031... (4599 characters)"
+    assert stopped == (f"1 residue combinations survived modulo {moduli}"
+                       f" but none lifts into [-{clipped}, {clipped}]")
+    assert len(stopped) == 248  # its three fields hold 13203 characters unclipped
 
 
 def test_exact_verification_rejects_modular_coincidences():
@@ -486,8 +489,8 @@ def test_search_is_the_two_stages_composed():
 def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
     """A lift stage is refused once the surviving combinations times the
     most lifts of one combination pass MAX_LIFTS: ceil(11/7) = 2
-    per free orbit at height 5 modulo 7, and one per choice value, even a
-    value such as 10 that no residue combination lifts to."""
+    per free orbit at height 5 modulo 7, and per choice orbit the most of its
+    values in one residue class: 3 and 73 are both 3 modulo 35, 10 is not."""
     two_free = SupportAnsatz(1, [
         OrbitSpec("a", ((1,),), CoefficientDomain.free()),
         OrbitSpec("b", ((-1,),), CoefficientDomain.free()),
@@ -505,11 +508,27 @@ def test_lift_and_verify_tries_lifts_up_to_the_bound(monkeypatch):
         lift_and_verify(stage)
     choice = ansatz_1d(CoefficientDomain.choice(3, 10, 73))
     config = SearchConfig(target=target_for(planted_1d(3)), primes=(5, 7), height=5)
-    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 3)
-    assert search(choice, config).stats.lifts_tried == 2
     monkeypatch.setattr("weaklg.search.MAX_LIFTS", 2)
-    with pytest.raises(ValueError, match=r"^1 residue combinations modulo 5x7 could need 3 "):
+    assert search(choice, config).stats.lifts_tried == 2
+    monkeypatch.setattr("weaklg.search.MAX_LIFTS", 1)
+    with pytest.raises(ValueError, match=r"^1 residue combinations modulo 5x7 could need 2 lifts"):
         search(choice, config)
+
+
+def test_choice_orbits_count_only_the_values_of_one_residue_class():
+    """Three choice orbits of 60 values modulo 61: each value is its own
+    class, so the 60 surviving combinations need one lift each, not 60^3."""
+    axes = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    wide = CoefficientDomain.choice(*range(1, 61))
+    ansatz = SupportAnsatz(3, [OrbitSpec(name, (e,), CoefficientDomain.fixed(1))
+                               for name, e in zip("xyz", axes)]
+                           + [OrbitSpec(name, (tuple(-x for x in e),), wide)
+                              for name, e in zip("XYZ", axes)])
+    f = LaurentPoly(3, {(1, 0, 0): 1, (-1, 0, 0): 2, (0, 1, 0): 1, (0, -1, 0): 3,
+                        (0, 0, 1): 1, (0, 0, -1): 5})
+    result = search(ansatz, SearchConfig(target=target_for(f), primes=(61,), height=60))
+    assert (len(result.matches), result.stats.lifts_tried) == (6, 60)
+    assert f in result.matches
 
 
 # --- level polynomials against the brute-force series -------------------------
